@@ -47,23 +47,25 @@ Commands
 ``cosim DESIGN [--input …]``
     Co-simulate the netlist interpretation against the model semantics.
 ``batch JOBFILE [--workers N] [--cache DIR] [--timeout S] [--retries N]
-[--journal PATH] [--resume] [--quarantine-after N] [--hang-timeout S]
-[--server URL [--tenant T] [--priority P]]``
+[--journal PATH] [--resume] [--server URL]``
     Run a job file (see :mod:`repro.runtime.jobs`) through the batch
-    engine and report per-job outcomes plus fleet metrics; with a
-    ``--journal`` the batch survives SIGKILL and ``--resume`` replays
-    settled jobs from the log.  With ``--server`` the same job file is
-    submitted over HTTP to a running ``repro serve`` (identical
+    engine and report per-job outcomes plus fleet metrics.  A job that
+    fails, times out or kills its worker is retried up to ``--retries``
+    times and then reported ``failed``; the rest of the batch runs on.
+    With a ``--journal`` the batch survives SIGKILL and ``--resume``
+    replays settled jobs from the log.  With ``--server`` the same job
+    file is submitted over HTTP to a running ``repro serve`` (identical
     content-addressed keys and byte-identical cached results) and
     polled to completion.  Exits 0 when every job succeeded, 1 on
-    failures, 3 when a poison job was quarantined, 130 when interrupted.
+    failures, 130 when interrupted.
 ``serve [--host H] [--port P] [--shards N] [--service-workers N]
-[--cache DIR] [--journal PATH] [--resume] [--rate R] [--burst B]``
+[--cache DIR] [--journal PATH] [--resume] [--max-pending N]``
     Run the long-lived execution service
     (:mod:`repro.runtime.service`): an HTTP/JSON API accepting the
-    declarative job-spec JSON, a durable sharded queue (``--journal`` +
-    ``--resume`` survive SIGKILL), per-tenant rate limiting, and worker
-    threads sharing one result store.
+    declarative job-spec JSON, a durable sharded FIFO queue
+    (``--journal`` + ``--resume`` survive SIGKILL; ``--max-pending``
+    sheds submissions past a depth), and worker threads sharing one
+    result store.
 ``cache stats DIR`` / ``cache prune DIR [--max-bytes N] [--max-entries N]``
     Inspect a content-addressed result cache, or atomically evict
     least-recently-used entries until it fits the given bounds.
@@ -362,7 +364,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
     if not faults:
         raise ReproError(
             "no faults given (use --fault, --faults-file or --auto N)")
-    from .runtime.supervisor import GracefulShutdown
+    from .runtime import GracefulShutdown
 
     with _make_engine(args) as engine, GracefulShutdown() as shutdown:
         report = run_campaign(
@@ -470,15 +472,12 @@ def cmd_cosim(args: argparse.Namespace) -> int:
 
 def _make_engine(args: argparse.Namespace, *, journal=None):
     """Build an ExecutionEngine (and optional cache) from CLI options."""
-    from .runtime import ExecutionEngine, ResultCache, SupervisorConfig
+    from .runtime import ExecutionEngine, ResultCache
 
     cache = ResultCache(args.cache) if args.cache else None
-    supervisor = SupervisorConfig(
-        hang_timeout=getattr(args, "hang_timeout", None),
-        quarantine_after=getattr(args, "quarantine_after", 3))
     return ExecutionEngine(workers=args.workers, timeout=args.timeout,
                            retries=args.retries, cache=cache,
-                           supervisor=supervisor, journal=journal)
+                           journal=journal)
 
 
 def _engine_journal(args: argparse.Namespace):
@@ -532,10 +531,7 @@ def _report_batch(batch, *, metrics_json: str | None = None,
         print("batch interrupted; resume with --journal/--resume",
               file=sys.stderr)
         return 130
-    if batch.ok:
-        return 0
-    # 3 distinguishes "a poison job was quarantined" from plain failure
-    return 3 if batch.quarantined() else 1
+    return 0 if batch.ok else 1
 
 
 def _write_json(target: str, payload: str, what: str) -> None:
@@ -566,8 +562,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
                     f"{flag} configures the local engine; with --server "
                     "those concerns live on the server (repro serve)")
         client = ServiceClient(parse_server_url(args.server))
-        batch = submit_job_file(client, args.jobfile, tenant=args.tenant,
-                                priority=args.priority, poll=args.poll,
+        batch = submit_job_file(client, args.jobfile, poll=args.poll,
                                 max_seconds=args.max_wait)
         return _report_batch(batch, metrics_json=args.metrics_json,
                              results_json=args.results_json)
@@ -587,7 +582,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from .runtime import ExecutionEngine, GracefulShutdown, SupervisorConfig
+    from .runtime import ExecutionEngine, GracefulShutdown
     from .runtime.service import (
         ExecutionService,
         LocalDirBackend,
@@ -602,19 +597,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
     def engine_factory() -> ExecutionEngine:
         return ExecutionEngine(
             workers=args.workers, timeout=args.timeout,
-            retries=args.retries, cache=store,
-            supervisor=SupervisorConfig(
-                hang_timeout=args.hang_timeout,
-                quarantine_after=args.quarantine_after))
+            retries=args.retries, cache=store)
 
     service = ExecutionService(
         store=store, journal_path=args.journal, resume=args.resume,
-        shards=args.shards, rate=args.rate, burst=args.burst,
-        workers=args.service_workers, engine_factory=engine_factory,
-        lease_seconds=args.lease_seconds, max_pending=args.max_pending)
+        shards=args.shards, workers=args.service_workers,
+        engine_factory=engine_factory, lease_seconds=args.lease_seconds,
+        max_pending=args.max_pending)
     server = make_server(service, host=args.host, port=args.port,
-                         verbose=args.verbose,
-                         max_inflight=args.max_inflight)
+                         verbose=args.verbose)
     host, port = server.server_address[:2]
     replayed = service.replayed
     pending = service.queue.depth()
@@ -794,14 +785,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--resume", action="store_true",
                         help="resume from the --journal instead of "
                              "starting fresh (settled jobs are not re-run)")
-    parser.add_argument("--quarantine-after", type=int, default=3,
-                        metavar="N",
-                        help="quarantine a job after N worker crashes on "
-                             "its key (default 3)")
-    parser.add_argument("--hang-timeout", type=float, default=None,
-                        metavar="S",
-                        help="SIGKILL workers whose heartbeat is silent "
-                             "for S seconds (default: hang detection off)")
 
 
 def _fuzz_report_text(report) -> list[str]:
@@ -1126,11 +1109,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="submit over HTTP to a running repro serve "
                               "instead of executing locally (same specs, "
                               "same content-addressed keys)")
-    p_batch.add_argument("--tenant", default="default",
-                         help="tenant lane for --server submissions")
-    p_batch.add_argument("--priority", type=int, default=0,
-                         help="priority for --server submissions "
-                              "(higher runs first)")
     p_batch.add_argument("--poll", type=float, default=0.1, metavar="S",
                          help="poll interval while waiting on --server")
     p_batch.add_argument("--max-wait", type=float, default=600.0,
@@ -1151,12 +1129,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="in-process worker threads draining the "
                               "queue (default 1; 0 = accept only, attach "
                               "workers remotely)")
-    p_serve.add_argument("--rate", type=float, default=None,
-                         help="per-tenant token-bucket refill "
-                              "(submissions/second; default unlimited)")
-    p_serve.add_argument("--burst", type=float, default=None,
-                         help="per-tenant token-bucket capacity "
-                              "(default 2x rate)")
     p_serve.add_argument("--lease-seconds", type=float, default=60.0,
                          metavar="S",
                          help="re-queue claims not settled within S "
@@ -1171,11 +1143,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="shed submissions (503 + Retry-After) once "
                               "N jobs are queued (default unbounded)")
-    p_serve.add_argument("--max-inflight", type=int, default=None,
-                         metavar="N",
-                         help="answer 503 when more than N mutating HTTP "
-                              "requests are being handled at once "
-                              "(default unbounded; GETs are exempt)")
     p_serve.add_argument("--drain-grace", type=float, default=5.0,
                          metavar="S",
                          help="on SIGTERM/SIGINT, shed new submissions "

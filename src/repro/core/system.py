@@ -52,7 +52,9 @@ class DataControlSystem:
     guards: dict[str, set[PortId]] = field(default_factory=dict)
     name: str = "system"
     _relations: StructuralRelations | None = field(default=None, repr=False)
-    _coexistence: tuple[frozenset[frozenset[str]], bool] | None = field(
+    # (pairs, complete, (max_markings, backend)) of the last coexistence()
+    _coexistence: tuple[frozenset[frozenset[str]], bool,
+                        tuple[int, str]] | None = field(
         default=None, repr=False)
 
     # ------------------------------------------------------------------
@@ -213,15 +215,20 @@ class DataControlSystem:
         The behavioural refinement of ``∥`` needed on cyclic nets: see
         :func:`repro.petri.reachability.coexistent_place_pairs`.
         ``backend="symbolic"`` computes the same relation through the
-        frontier/unfolding engine (the cache is shared — both backends
-        agree by construction, and the differential tests pin it).
+        frontier/unfolding engine.  A complete answer is reused for any
+        arguments (both backends agree by construction, and the
+        differential tests pin it); a truncated one only for the same
+        ``max_markings`` and ``backend``.
         """
-        if self._coexistence is None:
+        args = (max_markings, backend)
+        cached = self._coexistence
+        if cached is None or not (cached[1] or cached[2] == args):
             from ..petri.reachability import coexistent_place_pairs
 
-            self._coexistence = coexistent_place_pairs(
+            pairs, complete = coexistent_place_pairs(
                 self.net, max_markings=max_markings, backend=backend)
-        return self._coexistence
+            cached = self._coexistence = (pairs, complete, args)
+        return cached[0], cached[1]
 
     def may_coexist(self, s_1: str, s_2: str) -> bool:
         """Can the two places (or the place with itself) hold tokens at

@@ -100,11 +100,16 @@ class Operation:
 
 
 def _safe_div(a: int, b: int) -> Value:
-    return UNDEF if b == 0 else int(a / b) if (a < 0) != (b < 0) and a % b else a // b
+    """Quotient truncated toward zero, exact in integers (UNDEF on b=0)."""
+    if b == 0:
+        return UNDEF
+    quotient = abs(a) // abs(b)
+    return quotient if (a < 0) == (b < 0) else -quotient
 
 
 def _safe_mod(a: int, b: int) -> Value:
-    return UNDEF if b == 0 else a - b * (int(a / b) if (a < 0) != (b < 0) and a % b else a // b)
+    """Remainder of :func:`_safe_div`: takes the sign of ``a``."""
+    return UNDEF if b == 0 else a - b * _safe_div(a, b)
 
 
 def _mux(sel: int, a: int, b: int) -> int:

@@ -15,9 +15,10 @@ missing is a job engine, and this package is it:
     :func:`execute_job` interpreter that workers run.
 :mod:`repro.runtime.executor`
     :class:`ExecutionEngine` — a ``ProcessPoolExecutor``-backed fleet
-    with per-job timeouts, bounded retry with exponential backoff, crash
-    isolation (a killed worker fails only its job), and graceful
-    degradation to serial in-process execution.
+    with per-job timeouts, bounded full-jitter retry, crash isolation (a
+    killed worker fails only its job, found by re-running the suspects
+    one at a time), and serial in-process execution when no pool can
+    be started.  That is the engine's whole failure policy.
 :mod:`repro.runtime.cache`
     :class:`ResultCache` — an on-disk content-addressed result store, so
     re-running a sweep with one changed design re-executes only that
@@ -33,17 +34,12 @@ missing is a job engine, and this package is it:
     every N steps, and the fsync-per-record write-ahead :class:`Journal`
     with torn-tail recovery (:func:`read_journal`), so simulations,
     batches, and campaigns resume across process restarts.
-:mod:`repro.runtime.supervisor`
-    Worker supervision: heartbeat files plus a :class:`Watchdog` that
-    SIGKILLs *hung* (not merely slow) workers, :class:`Quarantine` for
-    poison jobs, a crash-rate :class:`CircuitBreaker` degrading the
-    fleet to serial, the connection-level :class:`ConnectionBreaker`
-    (closed/open/half-open) shared by HTTP clients of one host, and
-    :class:`GracefulShutdown` converting SIGTERM/SIGINT into a
-    cooperative stop event.
 :mod:`repro.runtime.resilience`
     The shared retry vocabulary: seeded full-jitter :class:`Backoff`,
-    per-operation :class:`Deadline` budgets, ``Retry-After`` parsing.
+    per-operation :class:`Deadline` budgets, ``Retry-After`` parsing,
+    the closed/open/half-open :class:`ConnectionBreaker` shared by HTTP
+    clients of one host, and :class:`GracefulShutdown` converting
+    SIGTERM/SIGINT into a cooperative stop event.
 :mod:`repro.runtime.chaos`
     A deterministic fault-injecting TCP proxy (:class:`ChaosProxy`)
     and its declarative :class:`ChaosPolicy`, for rehearsing the
@@ -76,14 +72,12 @@ from .durable import (
 )
 from .chaos import ChaosFault, ChaosPolicy, ChaosProxy
 from .executor import BatchResult, ExecutionEngine, JobResult
-from .resilience import Backoff, Deadline, parse_retry_after
-from .supervisor import (
-    CircuitBreaker,
+from .resilience import (
+    Backoff,
     ConnectionBreaker,
+    Deadline,
     GracefulShutdown,
-    Quarantine,
-    SupervisorConfig,
-    Watchdog,
+    parse_retry_after,
 )
 from .jobs import (
     JOB_KINDS,
@@ -125,11 +119,7 @@ __all__ = [
     "dispatch_record",
     "settle_record",
     "iter_settled",
-    "SupervisorConfig",
-    "Quarantine",
-    "CircuitBreaker",
     "ConnectionBreaker",
-    "Watchdog",
     "GracefulShutdown",
     "Backoff",
     "Deadline",

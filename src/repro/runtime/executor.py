@@ -22,22 +22,16 @@ degradation path when a pool cannot be started) or on a
   alone is definitively guilty and is charged (and eventually failed),
   while the innocent bystanders complete normally.  Every pool reset
   either finalises or charges at least one job out of a finite attempt
-  budget, so the loop terminates — the engine never deadlocks;
-* **supervision** (:mod:`repro.runtime.supervisor`) — with a
-  :class:`~repro.runtime.supervisor.SupervisorConfig` attached, workers
-  heartbeat to disk and a watchdog thread SIGKILLs the *hung* (not
-  merely slow) ones; a key that crashes its worker N times is
-  **quarantined** (finalised with its own status, reported, never
-  retried again); and a :class:`~repro.runtime.supervisor.CircuitBreaker`
-  degrades the whole batch to serial execution when the pool's crash
-  rate says the fleet itself is sick;
+  budget, so the loop terminates — the engine never deadlocks.  A job
+  that keeps killing its worker spends its attempts and ends
+  ``failed``; a hung one is caught by the timeout;
 * **write-ahead journal** (:mod:`repro.runtime.durable`) — with a
   :class:`~repro.runtime.durable.Journal` attached, every dispatch and
   every settle is fsynced to disk before the engine moves on, so a
   SIGKILLed batch can be resumed (``resume_from=``) without re-running
   settled jobs;
 * **graceful shutdown** — ``stop_event`` (typically wired to
-  SIGTERM/SIGINT via :class:`~repro.runtime.supervisor.GracefulShutdown`)
+  SIGTERM/SIGINT via :class:`~repro.runtime.resilience.GracefulShutdown`)
   stops dispatch at the next tick; unfinished jobs are finalised as
   ``interrupted``, the journal is already flushed per record, and the
   partial batch returns in order;
@@ -55,8 +49,6 @@ from __future__ import annotations
 
 import contextlib
 import random
-import shutil
-import tempfile
 import threading
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
@@ -70,11 +62,6 @@ from .durable import Journal, dispatch_record, settle_record
 from .jobs import JobSpec, canonical_json, execute_job
 from .metrics import FleetMetrics
 from .resilience import Backoff
-from .supervisor import (
-    SupervisorConfig,
-    Watchdog,
-    start_worker_heartbeat,
-)
 
 _TICK_SECONDS = 0.05
 
@@ -104,9 +91,8 @@ class JobResult:
 
     ``status`` is one of ``ok`` (executed), ``cached`` (answered from
     the result cache), ``replayed`` (answered from a journal on resume),
-    ``failed`` (attempt budget exhausted), ``quarantined`` (poison key —
-    crashed its worker too many times), or ``interrupted`` (batch was
-    stopped before the job finished).
+    ``failed`` (attempt budget exhausted), or ``interrupted`` (batch
+    was stopped before the job finished).
     """
 
     spec: JobSpec
@@ -165,10 +151,6 @@ class BatchResult:
     def failures(self) -> list[JobResult]:
         return [result for result in self.results if not result.ok]
 
-    def quarantined(self) -> list[JobResult]:
-        return [result for result in self.results
-                if result.status == "quarantined"]
-
     def __len__(self) -> int:
         return len(self.results)
 
@@ -213,12 +195,6 @@ class ExecutionEngine:
     cache:
         Optional :class:`ResultCache`; hits skip dispatch entirely and
         fresh successes are stored back.
-    supervisor:
-        Optional :class:`~repro.runtime.supervisor.SupervisorConfig`
-        enabling heartbeat/watchdog hang detection, poison-job
-        quarantine, and the crash-rate circuit breaker.  When omitted, a
-        default config provides quarantine and breaker with hang
-        detection disabled.
     journal:
         Optional :class:`~repro.runtime.durable.Journal`; every dispatch
         and settle is durably appended, making the batch resumable after
@@ -231,7 +207,6 @@ class ExecutionEngine:
     def __init__(self, *, workers: int = 0, timeout: float | None = None,
                  retries: int = 1, backoff: float = 0.05,
                  cache: ResultCache | None = None,
-                 supervisor: SupervisorConfig | None = None,
                  journal: Journal | None = None,
                  jitter_seed: int | None = None) -> None:
         if workers < 0:
@@ -243,14 +218,11 @@ class ExecutionEngine:
         self.retries = retries
         self.backoff = backoff
         self.cache = cache
-        self.supervisor = supervisor or SupervisorConfig()
         self.journal = journal
         self.metrics: FleetMetrics | None = None  # last batch's aggregate
         self._jitter = random.Random(jitter_seed)
         self._backoff = Backoff(backoff, cap=None, rng=self._jitter)
-        self._quarantine = self.supervisor.make_quarantine()
         self._pool: ProcessPoolExecutor | None = None
-        self._own_heartbeat_dir: str | None = None
         self._on_result: Callable[[JobResult], None] | None = None
 
     # ------------------------------------------------------------------
@@ -263,25 +235,11 @@ class ExecutionEngine:
     def close(self) -> None:
         """Shut the pool down, terminating any lingering workers."""
         self._teardown_pool()
-        if self._own_heartbeat_dir is not None:
-            shutil.rmtree(self._own_heartbeat_dir, ignore_errors=True)
-            self._own_heartbeat_dir = None
 
     # ------------------------------------------------------------------
-    def quarantined_keys(self) -> list[str]:
-        """Keys quarantined so far (across batches run by this engine)."""
-        return self._quarantine.poisoned_keys()
-
     def _retry_delay(self, attempts: int) -> float:
         """Full-jitter backoff: uniform over [0, backoff · 2^(n-1)]."""
         return self._backoff.delay(attempts)
-
-    def _heartbeat_dir(self) -> str:
-        if self.supervisor.heartbeat_dir is not None:
-            return self.supervisor.heartbeat_dir
-        if self._own_heartbeat_dir is None:
-            self._own_heartbeat_dir = tempfile.mkdtemp(prefix="repro-hb-")
-        return self._own_heartbeat_dir
 
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[JobSpec], *,
@@ -346,7 +304,6 @@ class ExecutionEngine:
         assert len(finished) == len(specs), "engine lost a job"
         for result in finished:
             metrics.record(result)
-        metrics.quarantined_keys = self._quarantine.poisoned_keys()
         metrics.wall_seconds = monotonic() - started
         self.metrics = metrics
         self._on_result = None
@@ -377,10 +334,6 @@ class ExecutionEngine:
         for task in pending:
             if stop_event is not None and stop_event.is_set():
                 return
-            if self._quarantine.is_poisoned(task.spec.key):
-                self._finalize(results, task.index,
-                               self._quarantined(task))
-                continue
             while True:
                 task.attempts += 1
                 self._journal_dispatch(task)
@@ -414,22 +367,16 @@ class ExecutionEngine:
         inflight: dict[Future, tuple[_Task, float]] = {}
         suspects: deque[_Task] = deque()  # post-crash isolation queue
         pool_dead = False
-        breaker = self.supervisor.make_breaker()
-        watchdog = self._start_watchdog(metrics)
 
         def stopped() -> bool:
             return stop_event is not None and stop_event.is_set()
 
         def submit(task: _Task) -> bool:
-            if self._quarantine.is_poisoned(task.spec.key):
-                self._finalize(results, task.index, self._quarantined(task))
-                return True
             pool = self._ensure_pool()
             if pool is None:
                 return False
             now = monotonic()
             task.attempts += 1
-            breaker.record_attempt()
             task.queue_seconds += max(now - max(task.ready_since,
                                                 task.not_before), 0.0)
             self._journal_dispatch(task)
@@ -455,25 +402,15 @@ class ExecutionEngine:
                 requeue(task, delay=self._retry_delay(task.attempts),
                         suspect=suspect)
 
-        def settle_crash(task: _Task, error: str) -> None:
-            """A definitively guilty crash: quarantine bookkeeping first."""
-            count = self._quarantine.record_crash(task.spec.key)
-            if self._quarantine.is_poisoned(task.spec.key):
-                task.error = (f"{error} ({count}× on this key; quarantined)")
-                self._finalize(results, task.index, self._quarantined(task))
-            else:
-                settle_failure(task, error, suspect=True)
-
         def reset_pool(interrupted: list[_Task], *, crashed: bool) -> None:
             """Rebuild the pool after a crash or a timeout expiry."""
             metrics.pool_resets += 1
             self._teardown_pool()
-            if crashed:
-                breaker.record_crash()
             if crashed and len(interrupted) == 1:
                 # a job that dies alone is definitively guilty; keep it in
                 # isolation for any retry it has left
-                settle_crash(interrupted[0], "worker process died")
+                settle_failure(interrupted[0], "worker process died",
+                               suspect=True)
             elif crashed:
                 # guilt unknown: void the interrupted attempts and re-run
                 # the suspects one at a time so the culprit self-identifies
@@ -488,10 +425,6 @@ class ExecutionEngine:
         while (pending or suspects or inflight) and not pool_dead:
             if stopped():
                 break
-            if breaker.tripped:
-                metrics.breaker_tripped = True
-                pool_dead = True  # drain the remainder serially below
-                continue
             now = monotonic()
             # top up the window; suspects run strictly isolated
             if suspects:
@@ -568,39 +501,17 @@ class ExecutionEngine:
                     inflight.clear()
                     reset_pool(bystanders, crashed=False)
 
-        if watchdog is not None:
-            metrics.hangs_detected += watchdog.hangs_detected
-            watchdog.stop()
-
         if stopped():
             self._teardown_pool()
             return  # unfinished jobs finalise as interrupted in run()
 
-        # the pool could not be rebuilt (or the breaker tripped): drain
-        # the remainder serially, skipping quarantined keys
+        # the pool could not be rebuilt: drain the remainder serially
         leftovers: deque[_Task] = deque()
         leftovers.extend(suspects)
         leftovers.extend(sorted(pending, key=lambda t: t.index))
         if leftovers:
             metrics.degraded_to_serial = True
             self._run_serial(leftovers, results, stop_event)
-
-    def _start_watchdog(self, metrics: FleetMetrics) -> Watchdog | None:
-        if self.supervisor.hang_timeout is None:
-            return None
-
-        def pool_pids() -> list[int]:
-            pool = self._pool
-            if pool is None:
-                return []
-            return [process.pid
-                    for process in (getattr(pool, "_processes", None)
-                                    or {}).values()]
-
-        watchdog = Watchdog(self._heartbeat_dir(),
-                            self.supervisor.hang_timeout, pool_pids)
-        watchdog.start()
-        return watchdog
 
     @staticmethod
     def _pop_ready(queue: deque[_Task], now: float) -> _Task | None:
@@ -630,26 +541,11 @@ class ExecutionEngine:
                          queue_seconds=task.queue_seconds,
                          run_seconds=task.run_seconds)
 
-    def _quarantined(self, task: _Task) -> JobResult:
-        error = task.error or (
-            f"key quarantined after "
-            f"{self._quarantine.crash_count(task.spec.key)} worker crash(es)")
-        return JobResult(task.spec, "quarantined", None, error=error,
-                         attempts=task.attempts, timed_out=task.timed_out,
-                         queue_seconds=task.queue_seconds,
-                         run_seconds=task.run_seconds)
-
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor | None:
         if self._pool is None:
-            kwargs: dict[str, Any] = {}
-            if self.supervisor.hang_timeout is not None:
-                kwargs = {"initializer": start_worker_heartbeat,
-                          "initargs": (self._heartbeat_dir(),
-                                       self.supervisor.heartbeat_interval)}
             try:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers,
-                                                 **kwargs)
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
             except Exception:
                 self._pool = None
         return self._pool

@@ -383,12 +383,8 @@ def probe_job(action: str, *, seconds: float = 0.0, marker: str = "",
     ``marker`` file, so the count survives worker crashes and process
     boundaries) and then succeeds — the deterministic way to exercise the
     engine's retry path.  ``crash`` SIGKILLs its own worker process.
-    ``wedge`` simulates a *hang*: it suspends the worker's heartbeat
-    thread and then sleeps, which is indistinguishable (to the watchdog)
-    from a process stuck in non-yielding native code.
     """
-    if action not in ("ok", "pid", "fail", "flaky", "sleep", "crash",
-                      "wedge"):
+    if action not in ("ok", "pid", "fail", "flaky", "sleep", "crash"):
         raise DefinitionError(f"unknown probe action {action!r}")
     return JobSpec("probe", None, {
         "action": action,
@@ -700,14 +696,6 @@ def _run_probe(params) -> dict[str, Any]:
 
         os.kill(os.getpid(), signal.SIGKILL)
         raise ExecutionError("unreachable")  # pragma: no cover
-    if action == "wedge":
-        import time
-
-        from .supervisor import suspend_worker_heartbeat
-
-        suspend_worker_heartbeat()
-        time.sleep(params.get("seconds", 60.0))
-        return {"slept": params.get("seconds", 60.0)}  # pragma: no cover
     raise DefinitionError(f"unknown probe action {action!r}")
 
 

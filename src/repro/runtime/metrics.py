@@ -65,17 +65,13 @@ class FleetMetrics:
     failed: int = 0
     cached: int = 0
     replayed: int = 0          # answered from a write-ahead journal
-    quarantined: int = 0       # poison keys pulled out of rotation
     interrupted_jobs: int = 0  # unfinished when the batch was stopped
     dispatched: int = 0        # worker executions actually attempted
     retries: int = 0
     timeouts: int = 0
     pool_resets: int = 0       # pool rebuilds after a crash or timeout
-    hangs_detected: int = 0    # workers SIGKILLed by the watchdog
-    breaker_tripped: bool = False
     interrupted: bool = False  # batch stopped before every job finished
     degraded_to_serial: bool = False
-    quarantined_keys: list[str] = field(default_factory=list)
     queue_seconds: float = 0.0  # summed per-job time waiting for a worker
     run_seconds: float = 0.0    # summed per-job execution wall time
     wall_seconds: float = 0.0   # end-to-end batch wall time
@@ -99,8 +95,6 @@ class FleetMetrics:
             self.replayed += 1
         elif result.status == "ok":
             self.succeeded += 1
-        elif result.status == "quarantined":
-            self.quarantined += 1
         elif result.status == "interrupted":
             self.interrupted_jobs += 1
         else:
@@ -123,17 +117,13 @@ class FleetMetrics:
             "failed": self.failed,
             "cached": self.cached,
             "replayed": self.replayed,
-            "quarantined": self.quarantined,
             "interrupted_jobs": self.interrupted_jobs,
             "dispatched": self.dispatched,
             "retries": self.retries,
             "timeouts": self.timeouts,
             "pool_resets": self.pool_resets,
-            "hangs_detected": self.hangs_detected,
-            "breaker_tripped": self.breaker_tripped,
             "interrupted": self.interrupted,
             "degraded_to_serial": self.degraded_to_serial,
-            "quarantined_keys": list(self.quarantined_keys),
             "cache_hit_rate": self.cache_hit_rate,
             "queue_seconds": self.queue_seconds,
             "run_seconds": self.run_seconds,
@@ -161,13 +151,6 @@ class FleetMetrics:
         ]
         if self.replayed:
             lines.append(f"  journal replays      {self.replayed}")
-        if self.quarantined:
-            lines.append(f"  quarantined          {self.quarantined}"
-                         f" ({', '.join(self.quarantined_keys)})")
-        if self.hangs_detected:
-            lines.append(f"  hung workers killed  {self.hangs_detected}")
-        if self.breaker_tripped:
-            lines.append("  circuit breaker      TRIPPED (degraded to serial)")
         if self.interrupted:
             lines.append(f"  INTERRUPTED          {self.interrupted_jobs}"
                          f" job(s) unfinished")

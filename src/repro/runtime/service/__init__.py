@@ -13,9 +13,8 @@ remotely.
     ``/v1/queue``, ``/v1/metrics``, ``/v1/healthz``, ``/v1/cache``,
     ``/v1/claim``, ``/v1/settle``.
 :mod:`repro.runtime.service.queue`
-    :class:`ShardedQueue` — SHA-256-partitioned, WAL-journalled
-    (restart-resumable), per-tenant priority lanes and token-bucket
-    rate limiting.
+    :class:`ShardedQueue` — SHA-256-partitioned FIFO lanes,
+    WAL-journalled (restart-resumable), with ``max_pending`` shedding.
 :mod:`repro.runtime.service.store`
     The :class:`CacheBackend` protocol with
     :class:`LocalDirBackend` (today's on-disk store, byte-identical),
@@ -23,7 +22,7 @@ remotely.
     :class:`TieredBackend` (local-over-remote).
 :mod:`repro.runtime.service.worker`
     :class:`ServiceWorker` claim→execute→settle threads over the
-    existing engine/supervisor, with per-node health accounting, and
+    existing engine, with per-node health accounting, and
     :class:`RemoteQueueSource` for workers attaching over HTTP.
 :mod:`repro.runtime.service.client`
     :class:`ServiceClient` — the ``repro batch --server`` transport,
@@ -75,8 +74,6 @@ from .queue import (
     OverloadedError,
     QueuedJob,
     ShardedQueue,
-    ThrottledError,
-    TokenBucket,
     replay_queue_journal,
     shard_of,
 )
@@ -106,8 +103,6 @@ __all__ = [
     "OverloadedError",
     "QueuedJob",
     "ShardedQueue",
-    "ThrottledError",
-    "TokenBucket",
     "replay_queue_journal",
     "shard_of",
     "CacheBackend",

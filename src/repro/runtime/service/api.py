@@ -14,12 +14,12 @@ Endpoints
 ---------
 
 ====================  ======================================================
-``POST /v1/jobs``     Submit one spec or a batch (``?tenant=``,
-                      ``?priority=``); per-item states; 429 when throttled.
+``POST /v1/jobs``     Submit one spec or a batch; per-item states; 503
+                      when every item was shed.
 ``GET /v1/jobs/K``    Status + result of job key ``K`` (404 unknown).
-``GET /v1/queue``     Queue snapshot: shard depths, tenant lanes, pending.
-``GET /v1/metrics``   Service counters, per-tenant depth/throttles, worker
-                      health, aggregated FleetMetrics.
+``GET /v1/queue``     Queue snapshot: shard depths, pending, running.
+``GET /v1/metrics``   Service counters, worker health, aggregated
+                      FleetMetrics.
 ``GET /v1/healthz``   Liveness (also reports version and uptime).
 ``GET /v1/cache/K``   Shared-store read (the RemoteBackend wire protocol).
 ``PUT /v1/cache/K``   Shared-store publish.
@@ -36,9 +36,8 @@ from the log (at-least-once dispatch, exactly-once settle).
 Overload and failure behaviour (the chaos-hardening contract):
 
 * **Load shedding** is deterministic, not probabilistic: the queue
-  refuses past ``max_pending`` and the HTTP layer refuses mutating
-  requests past ``max_inflight`` — both answer 503 with a
-  ``Retry-After`` hint so resilient clients re-arrive politely.
+  refuses past ``max_pending`` with 503 and a ``Retry-After`` hint so
+  resilient clients re-arrive politely.
 * **Deadline budgets** travel in the ``X-Repro-Deadline`` header; a
   request whose budget is already spent (e.g. it sat in a queue or a
   slow network leg) is answered 504 before any work happens.
@@ -66,8 +65,7 @@ from ..executor import ExecutionEngine, JobResult
 from ..jobs import JobSpec
 from ..metrics import FleetMetrics
 from ..resilience import CHAOS_HEADER, DEADLINE_HEADER, parse_retry_after
-from ..supervisor import SupervisorConfig
-from .queue import OverloadedError, QueuedJob, ShardedQueue, ThrottledError
+from .queue import OverloadedError, QueuedJob, ShardedQueue
 from .store import CacheBackend
 from .worker import ServiceWorker, attach_workers
 
@@ -87,8 +85,8 @@ class ExecutionService:
     journal_path / resume:
         Queue WAL.  With ``resume=True`` an existing log is replayed
         first: settled jobs come back as ``done``, accepted ones re-queue.
-    shards, rate, burst:
-        Queue partition count and per-tenant token-bucket rate limit.
+    shards:
+        Queue partition count.
     workers / engine_factory:
         How many in-process worker threads to run and how to build each
         one's engine (default: serial engines wired to ``store``).
@@ -102,8 +100,7 @@ class ExecutionService:
 
     def __init__(self, *, store: CacheBackend | None = None,
                  journal_path: str | None = None, resume: bool = False,
-                 shards: int = 8, rate: float | None = None,
-                 burst: float | None = None, workers: int = 1,
+                 shards: int = 8, workers: int = 1,
                  engine_factory=None, lease_seconds: float | None = 60.0,
                  unhealthy_after: int = 5,
                  max_pending: int | None = None) -> None:
@@ -111,7 +108,6 @@ class ExecutionService:
         self.journal = (Journal(journal_path, fresh=not resume)
                         if journal_path is not None else None)
         self.queue = ShardedQueue(shards=shards, journal=None,
-                                  rate=rate, burst=burst,
                                   max_pending=max_pending)
         self.lease_seconds = lease_seconds
         self._lock = threading.Lock()
@@ -137,8 +133,7 @@ class ExecutionService:
                         "key": key, "state": "done",
                         "status": "replayed",
                         "payload": record.get("payload"),
-                        "error": "", "attempts": 0,
-                        "tenant": "default", "kind": "", "label": "",
+                        "error": "", "attempts": 0, "kind": "", "label": "",
                     }
                 for job in self.queue.pending():
                     self._jobs[job.key] = self._queued_record(job)
@@ -146,8 +141,7 @@ class ExecutionService:
 
         if engine_factory is None:
             def engine_factory() -> ExecutionEngine:
-                return ExecutionEngine(cache=self.store,
-                                       supervisor=SupervisorConfig())
+                return ExecutionEngine(cache=self.store)
         self.workers: list[ServiceWorker] = attach_workers(
             self, workers, engine_factory=engine_factory,
             unhealthy_after=unhealthy_after)
@@ -204,17 +198,15 @@ class ExecutionService:
     def _queued_record(job: QueuedJob) -> dict[str, Any]:
         return {"key": job.key, "state": "queued", "status": "queued",
                 "payload": None, "error": "", "attempts": 0,
-                "tenant": job.tenant, "kind": job.spec.kind,
-                "label": job.spec.label}
+                "kind": job.spec.kind, "label": job.spec.label}
 
-    def submit(self, spec: JobSpec, *, tenant: str = "default",
-               priority: int = 0) -> dict[str, Any]:
+    def submit(self, spec: JobSpec) -> dict[str, Any]:
         """Accept one spec; returns its state record.
 
         Content addressing makes this idempotent and deduplicating:
         a key already done (or present in the store) is answered
         immediately; a key already queued/running is not re-queued.
-        Raises :class:`ThrottledError` when the tenant is rate-limited.
+        Raises :class:`OverloadedError` when the queue is full.
         """
         key = spec.key
         with self._lock:
@@ -233,52 +225,37 @@ class ExecutionService:
                     record = {
                         "key": key, "state": "done", "status": "cached",
                         "payload": payload, "error": "", "attempts": 0,
-                        "tenant": tenant, "kind": spec.kind,
-                        "label": spec.label,
+                        "kind": spec.kind, "label": spec.label,
                     }
                     self._jobs[key] = record
                     self.accepted += 1
                     self.completed += 1
                     return dict(record)
-        job = self.queue.submit(spec, tenant=tenant, priority=priority)
+        job = self.queue.submit(spec)
         with self._lock:
             record = self._queued_record(job)
             self._jobs[key] = record
             self.accepted += 1
             return dict(record)
 
-    def submit_many(self, specs, *, tenant: str = "default",
-                    priority: int = 0) -> list[dict[str, Any]]:
-        """Submit a batch; refused items come back as state records.
+    def submit_many(self, specs) -> list[dict[str, Any]]:
+        """Submit a batch; shed items come back as state records.
 
-        ``state="throttled"`` (rate limit) and ``state="shed"``
-        (queue at ``max_pending``) are per-item, so one refused spec
-        does not fail the batch; resilient clients retry just those.
+        ``state="shed"`` (queue at ``max_pending``) is per-item, so one
+        refused spec does not fail the batch; resilient clients retry
+        just those.
         """
         records = []
         for spec in specs:
             try:
-                records.append(self.submit(spec, tenant=tenant,
-                                           priority=priority))
-            except ThrottledError as error:
-                records.append(self._refused_record(
-                    spec, "throttled", str(error), tenant))
+                records.append(self.submit(spec))
             except OverloadedError as error:
-                records.append(self._refused_record(
-                    spec, "shed", str(error), tenant,
-                    retry_after=error.retry_after))
+                records.append({
+                    "key": spec.key, "state": "shed", "status": "shed",
+                    "payload": None, "error": str(error), "attempts": 0,
+                    "kind": spec.kind, "label": spec.label,
+                    "retry_after": error.retry_after})
         return records
-
-    @staticmethod
-    def _refused_record(spec: JobSpec, state: str, error: str,
-                        tenant: str,
-                        retry_after: float | None = None) -> dict[str, Any]:
-        record = {"key": spec.key, "state": state, "status": state,
-                  "payload": None, "error": error, "attempts": 0,
-                  "tenant": tenant, "kind": spec.kind, "label": spec.label}
-        if retry_after is not None:
-            record["retry_after"] = retry_after
-        return record
 
     # ------------------------------------------------------------------
     # worker side (local threads and remote HTTP workers both land here)
@@ -319,8 +296,7 @@ class ExecutionService:
                 "status": result.status, "payload": result.payload,
                 "error": result.error, "attempts": result.attempts,
                 "run_seconds": result.run_seconds,
-                "tenant": job.tenant, "kind": job.spec.kind,
-                "label": job.spec.label,
+                "kind": job.spec.kind, "label": job.spec.label,
             }
             if ok:
                 self.completed += 1
@@ -392,15 +368,10 @@ class ExecutionService:
                 "deadline_rejected": self.deadline_rejected,
                 "chaos_observed": dict(self.chaos_observed),
             }
-        throttled = 0
-        queue_stats = self.queue.stats()
-        for stats in queue_stats["tenants"].values():
-            throttled += stats["throttled"]
-        service["throttled"] = throttled
         return {
             "service": service,
             "resilience": resilience,
-            "queue": queue_stats,
+            "queue": self.queue.stats(),
             "workers": [worker.report() for worker in self.workers],
             "fleet": fleet,
         }
@@ -470,24 +441,17 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         except ValueError:
             return None
 
-    def _route(self) -> tuple[str, dict[str, str]]:
-        path, _, query_text = self.path.partition("?")
-        query: dict[str, str] = {}
-        for pair in query_text.split("&"):
-            if pair:
-                name, _, value = pair.partition("=")
-                query[name] = value
-        return path.rstrip("/") or "/", query
+    def _route(self) -> str:
+        """The request path without query string or trailing slash."""
+        path = self.path.partition("?")[0]
+        return path.rstrip("/") or "/"
 
     # ------------------------------------------------------------------
     def _gate_mutation(self) -> bool:
-        """Overload + deadline admission for POST/PUT (GETs stay free).
+        """Deadline admission for POST/PUT (GETs stay free).
 
-        Status and metrics reads must keep answering while the server
-        sheds work — an operator debugging an overload needs
-        ``/v1/metrics`` more than ever — so only mutations are gated.
-        Returns False after answering 503 (too many in flight) or 504
-        (the request's ``X-Repro-Deadline`` budget is already spent).
+        Returns False after answering 504 (the request's
+        ``X-Repro-Deadline`` budget is already spent).
         """
         self.service.observe_chaos(self.headers.get(CHAOS_HEADER))
         budget = parse_retry_after(self.headers.get(DEADLINE_HEADER))
@@ -496,16 +460,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 self.service.deadline_rejected += 1
             self._send(504, {"error": "deadline budget already spent"})
             return False
-        server = self.server
-        if not server.try_admit():  # type: ignore[attr-defined]
-            self._send(503, {"error": "too many requests in flight"},
-                       retry_after=0.5)
-            return False
         return True
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        path, _query = self._route()
+        path = self._route()
         self.service.observe_chaos(self.headers.get(CHAOS_HEADER))
         try:
             if path == "/v1/healthz":
@@ -534,7 +493,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self._send(500, {"error": f"{type(error).__name__}: {error}"})
 
     def do_PUT(self) -> None:  # noqa: N802
-        path, _query = self._route()
+        path = self._route()
         if not self._gate_mutation():
             return
         try:
@@ -557,16 +516,14 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 self._send(404, {"error": f"no such endpoint {path!r}"})
         except Exception as error:  # pragma: no cover - handler fail-safe
             self._send(500, {"error": f"{type(error).__name__}: {error}"})
-        finally:
-            self.server.release()  # type: ignore[attr-defined]
 
     def do_POST(self) -> None:  # noqa: N802
-        path, query = self._route()
+        path = self._route()
         if not self._gate_mutation():
             return
         try:
             if path == "/v1/jobs":
-                self._post_jobs(query)
+                self._post_jobs()
             elif path == "/v1/claim":
                 self._post_claim()
             elif path == "/v1/settle":
@@ -575,11 +532,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 self._send(404, {"error": f"no such endpoint {path!r}"})
         except Exception as error:  # pragma: no cover - handler fail-safe
             self._send(500, {"error": f"{type(error).__name__}: {error}"})
-        finally:
-            self.server.release()  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
-    def _post_jobs(self, query: dict[str, str]) -> None:
+    def _post_jobs(self) -> None:
         if self.service.draining:
             self._send(503, {"error": "server is draining; "
                                       "resubmit elsewhere or later"},
@@ -589,16 +544,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         if body is None:
             self._send(400, {"error": "request body is not valid JSON"})
             return
-        tenant = query.get("tenant", "default")
-        try:
-            priority = int(query.get("priority", "0"))
-        except ValueError:
-            self._send(400, {"error": "priority must be an integer"})
-            return
         if isinstance(body, dict) and "jobs" in body:
             entries = body["jobs"]
-            tenant = body.get("tenant", tenant)
-            priority = int(body.get("priority", priority))
         elif isinstance(body, list):
             entries = body
         elif isinstance(body, dict) and "kind" in body:
@@ -612,24 +559,17 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         except (DefinitionError, KeyError, TypeError) as error:
             self._send(400, {"error": f"bad job spec: {error}"})
             return
-        records = self.service.submit_many(specs, tenant=tenant,
-                                           priority=priority)
-        throttled = sum(1 for r in records if r["state"] == "throttled")
+        records = self.service.submit_many(specs)
         shed = sum(1 for r in records if r["state"] == "shed")
-        retry_after = None
+        code, retry_after = 200, None
         if records and shed == len(records):
             # nothing got in at all: a plain 503 + Retry-After, so even
             # the dumbest client knows when to come back
             code = 503
-            retry_after = max(r.get("retry_after", 1.0) for r in records)
-        elif records and throttled + shed == len(records):
-            code = 429
-        else:
-            code = 200
+            retry_after = max(r["retry_after"] for r in records)
         self._send(code, {
             "results": records,
-            "accepted": len(records) - throttled - shed,
-            "throttled": throttled,
+            "accepted": len(records) - shed,
             "shed": shed,
         }, retry_after=retry_after)
 
@@ -644,7 +584,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self._send_empty(204)
             return
         self._send(200, {"key": job.key, "spec": job.spec.to_dict(),
-                         "tenant": job.tenant, "priority": job.priority,
                          "shard": job.shard, "seq": job.seq})
 
     def _post_settle(self) -> None:
@@ -668,49 +607,23 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
 
 class ServiceServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying its :class:`ExecutionService`.
-
-    ``max_inflight`` bounds concurrently *handled* mutating requests
-    (POST/PUT); excess requests are answered 503 + ``Retry-After``
-    immediately instead of queueing behind the thread pool — bounded
-    accept, deterministic shedding.  ``None`` is unbounded.
-    """
+    """ThreadingHTTPServer carrying its :class:`ExecutionService`."""
 
     daemon_threads = True
     allow_reuse_address = True
 
     def __init__(self, address: tuple[str, int],
-                 service: ExecutionService, *, verbose: bool = False,
-                 max_inflight: int | None = None) -> None:
+                 service: ExecutionService, *,
+                 verbose: bool = False) -> None:
         super().__init__(address, _ServiceHandler)
         self.service = service
         self.verbose = verbose
-        self.max_inflight = max_inflight
-        self.http_shed = 0
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
-
-    def try_admit(self) -> bool:
-        """Take one in-flight slot, or refuse (the caller answers 503)."""
-        with self._inflight_lock:
-            if (self.max_inflight is not None
-                    and self._inflight >= self.max_inflight):
-                self.http_shed += 1
-                return False
-            self._inflight += 1
-            return True
-
-    def release(self) -> None:
-        with self._inflight_lock:
-            self._inflight -= 1
 
 
 def make_server(service: ExecutionService, *, host: str = "127.0.0.1",
-                port: int = 0, verbose: bool = False,
-                max_inflight: int | None = None) -> ServiceServer:
+                port: int = 0, verbose: bool = False) -> ServiceServer:
     """Bind the HTTP server (``port=0`` picks a free port)."""
-    return ServiceServer((host, port), service, verbose=verbose,
-                         max_inflight=max_inflight)
+    return ServiceServer((host, port), service, verbose=verbose)
 
 
 def serve_forever(server: ServiceServer, *, stop_event=None,

@@ -22,7 +22,7 @@ Since the chaos hardening pass the client is *resilient by default*:
   travels in the ``X-Repro-Deadline`` header so the server drops
   already-hopeless requests;
 * an optional shared
-  :class:`~repro.runtime.supervisor.ConnectionBreaker` fails calls
+  :class:`~repro.runtime.resilience.ConnectionBreaker` fails calls
   instantly while the server is known-dead instead of paying a timeout
   per call, probing recovery through half-open.
 
@@ -41,8 +41,13 @@ from ...errors import ExecutionError
 from ..executor import BatchResult, JobResult
 from ..jobs import JobSpec
 from ..metrics import FleetMetrics
-from ..resilience import DEADLINE_HEADER, Backoff, Deadline, parse_retry_after
-from ..supervisor import ConnectionBreaker
+from ..resilience import (
+    DEADLINE_HEADER,
+    Backoff,
+    ConnectionBreaker,
+    Deadline,
+    parse_retry_after,
+)
 
 #: Statuses that are worth retrying on an idempotent route.
 _RETRIABLE_STATUSES = (503,)
@@ -238,25 +243,23 @@ class ServiceClient:
         return body
 
     # ------------------------------------------------------------------
-    def submit(self, specs: Sequence[JobSpec] | JobSpec, *,
-               tenant: str = "default",
-               priority: int = 0) -> list[dict[str, Any]]:
-        """Submit specs; returns per-spec state records (incl. throttled).
+    def submit(self, specs: Sequence[JobSpec] | JobSpec
+               ) -> list[dict[str, Any]]:
+        """Submit specs; returns per-spec state records (incl. shed).
 
         Content-addressed keys make resubmission idempotent, so
         transport failures and 503 shedding are retried transparently.
-        429 (everything throttled) is returned as records, not raised —
-        callers decide whether to back off (see :meth:`submit_all`).
+        Items still shed come back as records, not raised — callers
+        decide whether to back off (see :meth:`submit_all`).
         """
         if isinstance(specs, JobSpec):
             specs = [specs]
-        body = {"jobs": [spec.to_dict() for spec in specs],
-                "tenant": tenant, "priority": priority}
+        body = {"jobs": [spec.to_dict() for spec in specs]}
         status, decoded = self.request_retry("POST", "/v1/jobs", body,
                                              idempotent=True)
-        # 429 = throttled records, 503-with-results = every item shed;
-        # both are per-item refusals submit_all keeps retrying, not errors
-        if (status not in (200, 429, 503) or not isinstance(decoded, dict)
+        # 503-with-results = every item shed: per-item refusals that
+        # submit_all keeps retrying, not errors
+        if (status not in (200, 503) or not isinstance(decoded, dict)
                 or "results" not in decoded):
             raise ServiceError(
                 f"POST /v1/jobs failed with HTTP {status}: "
@@ -264,14 +267,13 @@ class ServiceClient:
         return decoded["results"]
 
     def submit_all(self, specs: Sequence[JobSpec], *,
-                   tenant: str = "default", priority: int = 0,
                    retry_seconds: float = 0.1,
                    max_seconds: float = 300.0) -> list[dict[str, Any]]:
-        """Submit, retrying throttled/shed items until capacity frees.
+        """Submit, retrying shed items until capacity frees.
 
         Waits between rounds with capped full-jitter backoff seeded per
         client (N blocked clients spread out instead of re-arriving in
-        lockstep when the bucket refills), honouring the server's
+        lockstep when the queue drains), honouring the server's
         ``Retry-After`` hint when one came back.
         """
         records: dict[str, dict[str, Any]] = {}
@@ -280,10 +282,8 @@ class ServiceClient:
         round_index = 0
         while remaining:
             blocked: list[JobSpec] = []
-            for spec, record in zip(remaining,
-                                    self.submit(remaining, tenant=tenant,
-                                                priority=priority)):
-                if record["state"] in ("throttled", "shed"):
+            for spec, record in zip(remaining, self.submit(remaining)):
+                if record["state"] == "shed":
                     blocked.append(spec)
                 else:
                     records[spec.key] = record
@@ -363,21 +363,18 @@ class ServiceClient:
         return True
 
     # ------------------------------------------------------------------
-    def run_batch(self, specs: Sequence[JobSpec], *,
-                  tenant: str = "default", priority: int = 0,
-                  poll: float = 0.1,
+    def run_batch(self, specs: Sequence[JobSpec], *, poll: float = 0.1,
                   max_seconds: float = 600.0) -> BatchResult:
         """Submit + wait + rebuild a local-shaped :class:`BatchResult`.
 
         Statuses travel through unchanged (``ok``/``cached``/
-        ``replayed``/``failed``/``quarantined``), so
+        ``replayed``/``failed``), so
         ``repro batch --server`` reports and exits exactly like the
         local path on the same outcomes.
         """
         by_key = {spec.key: spec for spec in specs}
         started = monotonic()
-        self.submit_all(specs, tenant=tenant, priority=priority,
-                        max_seconds=max_seconds)
+        self.submit_all(specs, max_seconds=max_seconds)
         final = self.wait(list(by_key), poll=poll, max_seconds=max_seconds)
         metrics = FleetMetrics()
         results = []
@@ -412,14 +409,12 @@ def fetch_json(url: str, *, timeout: float = 30.0) -> Any:
 
 
 def submit_job_file(client: ServiceClient, path: str, *,
-                    tenant: str = "default", priority: int = 0,
                     poll: float = 0.1,
                     max_seconds: float = 600.0) -> BatchResult:
     """Load a job file and run it through :meth:`ServiceClient.run_batch`."""
     from ..jobs import load_job_file
 
-    return client.run_batch(load_job_file(path), tenant=tenant,
-                            priority=priority, poll=poll,
+    return client.run_batch(load_job_file(path), poll=poll,
                             max_seconds=max_seconds)
 
 

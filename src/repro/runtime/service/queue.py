@@ -2,16 +2,16 @@
 
 Jobs enter the service as content-addressed
 :class:`~repro.runtime.jobs.JobSpec`\\ s and park here until a worker
-claims them.  Three properties make the queue a service-grade component
+claims them.  Two properties make the queue a service-grade component
 rather than a list:
 
-**Sharding.**  Work is partitioned into ``shards`` independent lanes by
-the stable function ``int(key, 16) % shards`` over the job's SHA-256
-key.  Because the key is content-addressed, the same spec lands on the
-same shard on every node and across restarts — which is what lets
-workers own disjoint shards, lets per-shard claim order stay FIFO, and
-makes "two workers settling distinct shards into one journal" a
-well-defined (and tested) mode of operation.
+**Sharding.**  Work is partitioned into ``shards`` independent FIFO
+lanes by the stable function ``int(key, 16) % shards`` over the job's
+SHA-256 key.  Because the key is content-addressed, the same spec lands
+on the same shard on every node and across restarts — which is what
+lets workers own disjoint shards, and makes "two workers settling
+distinct shards into one journal" a well-defined (and tested) mode of
+operation.  Claims across all shards come out in acceptance order.
 
 **Durability.**  With a :class:`~repro.runtime.durable.Journal`
 attached, every acceptance is fsynced as an ``accept`` record (carrying
@@ -21,22 +21,20 @@ record.  :meth:`ShardedQueue.resume` replays the log: accepted keys
 without an ok settle are re-enqueued, settled payloads are handed back
 for the result map — so a SIGKILLed server restarts with exactly the
 work it had accepted and nothing re-executes that already finished
-(at-least-once dispatch, exactly-once settle, same contract as PR 5's
-batch engine).
+(at-least-once dispatch, exactly-once settle, same contract as the
+batch engine's journal).
 
-**Multi-tenancy.**  Every submission names a *tenant*; each tenant gets
-priority lanes (higher ``priority`` claims first, FIFO within a lane)
-and an optional token-bucket rate limit: ``rate`` tokens/second with a
-``burst`` ceiling, refused submissions raise :class:`ThrottledError`
-(HTTP 429 at the API) and are counted per tenant for ``/v1/metrics``.
+The one admission bound is ``max_pending``: past it, submissions are
+shed with :class:`OverloadedError` (HTTP 503 + ``Retry-After``).
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass
 from time import monotonic
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from ...errors import DefinitionError, ExecutionError
 from ..durable import Journal, read_journal, settle_record
@@ -46,16 +44,11 @@ from ..jobs import JobSpec
 ACCEPT_RECORD = "accept"
 
 
-class ThrottledError(ExecutionError):
-    """A tenant's token bucket is empty; the submission was refused."""
-
-
 class OverloadedError(ExecutionError):
     """The queue is at ``max_pending``; the submission was shed.
 
-    Unlike throttling (a per-tenant fairness policy), overload is a
-    whole-server health bound: accepting past it just converts fresh
-    work into timeouts.  Shedding early with a ``Retry-After`` hint is
+    Overload is a whole-server health bound: accepting past it just
+    converts fresh work into timeouts.  Shedding early with a ``Retry-After`` hint is
     deterministic (depth is exact, not probabilistic) and cheap — a
     refused job was never journalled, so there is nothing to undo.
     """
@@ -73,36 +66,7 @@ def shard_of(key: str, shards: int) -> int:
 def accept_record(job: "QueuedJob") -> dict[str, Any]:
     """The WAL record that makes one accepted job durable."""
     return {"type": ACCEPT_RECORD, "key": job.spec.key, "shard": job.shard,
-            "tenant": job.tenant, "priority": job.priority,
             "spec": job.spec.to_dict()}
-
-
-class TokenBucket:
-    """Classic token bucket: ``rate`` tokens/second, ``burst`` capacity.
-
-    Starts full.  ``try_take`` is O(1) and monotonic-clock based; tests
-    can pass an explicit ``now``.
-    """
-
-    def __init__(self, rate: float, burst: float) -> None:
-        if rate <= 0 or burst <= 0:
-            raise DefinitionError(
-                f"token bucket rate and burst must be positive, "
-                f"got rate={rate}, burst={burst}")
-        self.rate = rate
-        self.burst = burst
-        self._tokens = burst
-        self._updated = monotonic()
-
-    def try_take(self, now: float | None = None) -> bool:
-        now = monotonic() if now is None else now
-        elapsed = max(0.0, now - self._updated)  # clocks never run backwards
-        self._tokens = min(self.burst, self._tokens + elapsed * self.rate)
-        self._updated = now
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
-            return True
-        return False
 
 
 @dataclass
@@ -110,8 +74,6 @@ class QueuedJob:
     """One accepted job waiting in (or claimed from) the queue."""
 
     spec: JobSpec
-    tenant: str
-    priority: int
     shard: int
     seq: int
     claimed_at: float | None = None
@@ -122,26 +84,11 @@ class QueuedJob:
 
     def as_dict(self) -> dict[str, Any]:
         return {"key": self.key, "kind": self.spec.kind,
-                "label": self.spec.label, "tenant": self.tenant,
-                "priority": self.priority, "shard": self.shard}
-
-
-@dataclass
-class TenantStats:
-    """Per-tenant observability for ``/v1/metrics``."""
-
-    accepted: int = 0
-    throttled: int = 0
-    settled: int = 0
-    depth: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {"accepted": self.accepted, "throttled": self.throttled,
-                "settled": self.settled, "depth": self.depth}
+                "label": self.spec.label, "shard": self.shard}
 
 
 class ShardedQueue:
-    """Thread-safe sharded priority queue, journal-backed when asked.
+    """Thread-safe sharded FIFO queue, journal-backed when asked.
 
     Parameters
     ----------
@@ -151,17 +98,13 @@ class ShardedQueue:
         Optional :class:`Journal`; acceptances and settles are fsynced
         through it, making the queue crash-recoverable via
         :meth:`resume` / :func:`replay_queue_journal`.
-    rate, burst:
-        Optional per-tenant token-bucket rate limit (tokens/second and
-        bucket capacity).  ``None`` disables throttling.
     max_pending:
-        Optional bound on total queued (unclaimed) depth across all
-        tenants; submissions past it raise :class:`OverloadedError`
-        (HTTP 503 + ``Retry-After`` at the API).  ``None`` is unbounded.
+        Optional bound on total queued (unclaimed) depth; submissions
+        past it raise :class:`OverloadedError` (HTTP 503 +
+        ``Retry-After`` at the API).  ``None`` is unbounded.
     """
 
     def __init__(self, *, shards: int = 8, journal: Journal | None = None,
-                 rate: float | None = None, burst: float | None = None,
                  max_pending: int | None = None) -> None:
         if shards < 1:
             raise DefinitionError(f"shards must be >= 1, got {shards}")
@@ -170,51 +113,29 @@ class ShardedQueue:
                 f"max_pending must be >= 1, got {max_pending}")
         self.shards = shards
         self.journal = journal
-        self.rate = rate
-        self.burst = burst if burst is not None else rate
         self.max_pending = max_pending
         self.shed = 0
         self._lock = threading.Lock()
-        # shard -> priority -> FIFO of QueuedJob (priority claims high-first)
-        self._lanes: list[dict[int, list[QueuedJob]]] = [
-            {} for _ in range(shards)]
+        self._lanes: list[deque[QueuedJob]] = [deque() for _ in range(shards)]
         self._queued: dict[str, QueuedJob] = {}
         self._claimed: dict[str, QueuedJob] = {}
-        self._buckets: dict[str, TokenBucket] = {}
-        self._tenants: dict[str, TenantStats] = {}
         self._seq = 0
 
     # ------------------------------------------------------------------
-    def _tenant(self, tenant: str) -> TenantStats:
-        return self._tenants.setdefault(tenant, TenantStats())
-
-    def _throttled(self, tenant: str) -> bool:
-        if self.rate is None:
-            return False
-        bucket = self._buckets.get(tenant)
-        if bucket is None:
-            bucket = self._buckets[tenant] = TokenBucket(self.rate,
-                                                         self.burst)
-        return not bucket.try_take()
-
-    # ------------------------------------------------------------------
-    def submit(self, spec: JobSpec, *, tenant: str = "default",
-               priority: int = 0, _journal: bool = True) -> QueuedJob:
+    def submit(self, spec: JobSpec) -> QueuedJob:
         """Accept one job; durable once this returns.
 
         Idempotent per key: re-submitting a queued or claimed key
         returns the existing entry without a duplicate journal record.
-        Raises :class:`ThrottledError` when the tenant's bucket is empty
-        and :class:`OverloadedError` when the queue is at
-        ``max_pending`` (both counted, never journalled — a refused job
-        was never accepted).
+        Raises :class:`OverloadedError` when the queue is at
+        ``max_pending`` (counted, never journalled — a refused job was
+        never accepted).
         """
         key = spec.key
         with self._lock:
             existing = self._queued.get(key) or self._claimed.get(key)
             if existing is not None:
                 return existing
-            stats = self._tenant(tenant)
             if (self.max_pending is not None
                     and len(self._queued) >= self.max_pending):
                 self.shed += 1
@@ -222,78 +143,48 @@ class ShardedQueue:
                     f"queue is at max_pending={self.max_pending}; "
                     f"submission shed",
                     retry_after=max(0.1, 0.01 * self.max_pending))
-            if self._throttled(tenant):
-                stats.throttled += 1
-                raise ThrottledError(
-                    f"tenant {tenant!r} is over its rate limit "
-                    f"({self.rate:g}/s, burst {self.burst:g})")
-            self._seq += 1
-            job = QueuedJob(spec, tenant, priority,
-                            shard_of(key, self.shards), self._seq)
-            if _journal and self.journal is not None:
+            job = self._new_job(spec)
+            if self.journal is not None:
                 self.journal.append(accept_record(job))
             self._enqueue(job)
-            stats.accepted += 1
-            stats.depth += 1
             return job
 
+    def _new_job(self, spec: JobSpec) -> QueuedJob:
+        self._seq += 1
+        return QueuedJob(spec, shard_of(spec.key, self.shards), self._seq)
+
     def _enqueue(self, job: QueuedJob) -> None:
-        self._lanes[job.shard].setdefault(job.priority, []).append(job)
+        self._lanes[job.shard].append(job)
         self._queued[job.spec.key] = job
 
     # ------------------------------------------------------------------
     def claim(self, *, shard: int | None = None) -> QueuedJob | None:
-        """Pop the next job (highest priority, FIFO within a lane).
+        """Pop the next job: the oldest in ``shard``, or overall.
 
         ``shard`` restricts the claim to one partition — how a fleet
-        statically partitions work; ``None`` scans all shards in order.
-        The job moves to the *claimed* set until :meth:`settle` (or
-        :meth:`requeue_expired`) disposes of it.
+        statically partitions work; ``None`` takes the oldest head
+        across all shards.  The job moves to the *claimed* set until
+        :meth:`settle` (or :meth:`requeue_expired`) disposes of it.
         """
         with self._lock:
-            shard_range: Iterable[int] = (
-                range(self.shards) if shard is None else (shard,))
-            best: QueuedJob | None = None
-            for index in shard_range:
-                lanes = self._lanes[index]
-                for priority in sorted(lanes, reverse=True):
-                    lane = lanes[priority]
-                    if lane:
-                        candidate = lane[0]
-                        if (best is None
-                                or candidate.priority > best.priority
-                                or (candidate.priority == best.priority
-                                    and candidate.seq < best.seq)):
-                            best = candidate
-                        break
-            if best is None:
+            lanes = self._lanes if shard is None else [self._lanes[shard]]
+            heads = [lane for lane in lanes if lane]
+            if not heads:
                 return None
-            lane = self._lanes[best.shard][best.priority]
-            lane.pop(0)
-            if not lane:
-                del self._lanes[best.shard][best.priority]
-            del self._queued[best.key]
-            best.claimed_at = monotonic()
-            self._claimed[best.key] = best
-            return best
+            job = min(heads, key=lambda lane: lane[0].seq).popleft()
+            del self._queued[job.key]
+            job.claimed_at = monotonic()
+            self._claimed[job.key] = job
+            return job
 
     def settle(self, key: str, status: str, *, error: str = "",
                payload: Mapping[str, Any] | None = None) -> None:
         """Record a claimed job's final status (journalled durably)."""
         with self._lock:
-            job = self._claimed.pop(key, None)
-            if job is None:
+            if self._claimed.pop(key, None) is None:
                 job = self._queued.pop(key, None)
                 if job is not None:  # settled without a claim (cache hit)
-                    lane = self._lanes[job.shard].get(job.priority)
-                    if lane is not None and job in lane:
-                        lane.remove(job)
-                        if not lane:
-                            del self._lanes[job.shard][job.priority]
-            if job is not None:
-                stats = self._tenant(job.tenant)
-                stats.settled += 1
-                stats.depth -= 1
+                    self._lanes[job.shard].remove(job)
             if self.journal is not None:
                 self.journal.append(settle_record(
                     key, status, error=error, payload=payload))
@@ -324,25 +215,20 @@ class ShardedQueue:
         with self._lock:
             return len(self._queued)
 
-    def depth(self, *, tenant: str | None = None) -> int:
-        with self._lock:
-            if tenant is None:
-                return len(self._queued)
-            return sum(1 for job in self._queued.values()
-                       if job.tenant == tenant)
+    def depth(self) -> int:
+        return len(self)
 
     def pending(self) -> list[QueuedJob]:
         """Queued jobs in claim order (snapshot)."""
         with self._lock:
-            return sorted(self._queued.values(),
-                          key=lambda job: (-job.priority, job.seq))
+            return sorted(self._queued.values(), key=lambda job: job.seq)
 
     def claimed(self) -> list[QueuedJob]:
         with self._lock:
             return sorted(self._claimed.values(), key=lambda job: job.seq)
 
     def stats(self) -> dict[str, Any]:
-        """Queue observability: shard depths, tenant lanes, totals."""
+        """Queue observability: shard depths and totals."""
         with self._lock:
             shard_depths = [0] * self.shards
             for job in self._queued.values():
@@ -352,11 +238,6 @@ class ShardedQueue:
                 "depth": len(self._queued),
                 "claimed": len(self._claimed),
                 "shard_depths": shard_depths,
-                "tenants": {tenant: stats.as_dict()
-                            for tenant, stats in sorted(
-                                self._tenants.items())},
-                "rate": self.rate,
-                "burst": self.burst,
                 "max_pending": self.max_pending,
                 "shed": self.shed,
             }
@@ -366,10 +247,12 @@ class ShardedQueue:
         """Rebuild queue state from a journal written by a dead server.
 
         Re-enqueues every accepted job without an ok settle (in original
-        acceptance order, preserving tenant and priority) and returns
-        ``key -> settle record`` for the ones that did settle ok, so the
-        service can repopulate its result map.  Call before attaching
+        acceptance order) and returns ``key -> settle record`` for the
+        ones that did settle ok, so the service can repopulate its
+        result map.  Call before attaching
         the (re-opened, ``fresh=False``) journal's first new append.
+        Only an accept record's ``key`` and ``spec`` are read, so extra
+        fields written by older servers are ignored.
         """
         accepts, settles = replay_queue_journal(path)
         with self._lock:
@@ -377,17 +260,9 @@ class ShardedQueue:
                 settle = settles.get(key)
                 if settle is not None and settle.get("payload") is not None:
                     continue  # finished: nothing to redo
-                if (key in self._queued or key in self._claimed):
+                if key in self._queued or key in self._claimed:
                     continue
-                self._seq += 1
-                job = QueuedJob(JobSpec.from_dict(record["spec"]),
-                                record.get("tenant", "default"),
-                                record.get("priority", 0),
-                                shard_of(key, self.shards), self._seq)
-                self._enqueue(job)
-                stats = self._tenant(job.tenant)
-                stats.accepted += 1
-                stats.depth += 1
+                self._enqueue(self._new_job(JobSpec.from_dict(record["spec"])))
         return {key: record for key, record in settles.items()
                 if record.get("payload") is not None}
 

@@ -18,7 +18,7 @@ already satisfies it.  This module names that contract
     Network and server errors degrade to misses (reads) or are dropped
     (writes) — a flaky cache must never fail a job — with
     :attr:`RemoteBackend.errors` counting the degradations.  A
-    :class:`~repro.runtime.supervisor.ConnectionBreaker` turns a *dead*
+    :class:`~repro.runtime.resilience.ConnectionBreaker` turns a *dead*
     server into instant misses instead of a connect timeout per key
     (partition tolerance: jobs keep completing from local state), and a
     cheap ``/v1/healthz`` probe closes the breaker again once the server
@@ -39,7 +39,7 @@ import json
 from typing import Any, Iterator, Protocol, runtime_checkable
 
 from ..cache import ResultCache
-from ..supervisor import ConnectionBreaker
+from ..resilience import ConnectionBreaker
 
 
 @runtime_checkable

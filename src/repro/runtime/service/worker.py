@@ -3,10 +3,10 @@
 A :class:`ServiceWorker` is a daemon thread owning one
 :class:`~repro.runtime.executor.ExecutionEngine`.  It pulls claims from
 a *job source*, runs each claim as a single-job batch through the
-engine — inheriting the whole PR 2/PR 5 machinery: content-addressed
-cache check before any dispatch, per-job timeout, bounded jittered
-retry, crash isolation, quarantine, optional process-pool fan-out — and
-settles the outcome back into the source.
+engine — inheriting its content-addressed cache check before any
+dispatch, per-job timeout, bounded jittered retry, crash isolation and
+optional process-pool fan-out — and settles the outcome back into the
+source.
 
 Two sources exist:
 
@@ -21,11 +21,11 @@ Two sources exist:
   dedupes work fleet-wide: the second worker to see a key finds the
   payload cached and dispatches nothing.
 
-**Per-node health** generalises PR 5's per-key quarantine to the worker
-itself: ``unhealthy_after`` consecutive infrastructure failures (engine
-errors, source errors — *not* ordinary job failures) mark the node
-unhealthy and stop its claim loop, so one sick node degrades the fleet
-by exactly its own capacity instead of poisoning the queue.
+**Per-node health**: ``unhealthy_after`` consecutive infrastructure
+failures (engine errors, source errors — *not* ordinary job failures)
+mark the node unhealthy and stop its claim loop, so one sick node
+degrades the fleet by exactly its own capacity instead of poisoning the
+queue.
 """
 
 from __future__ import annotations
@@ -177,8 +177,6 @@ class RemoteQueueSource:
         if claim is None:
             return None
         return _RemoteClaim(JobSpec.from_dict(claim["spec"]),
-                            claim.get("tenant", "default"),
-                            claim.get("priority", 0),
                             claim.get("shard", 0), claim.get("seq", 0),
                             claimed_at=monotonic())
 

@@ -85,10 +85,6 @@ _LATCH_FUNC = 2    # stateful function (e.g. accumulator): op.evaluate
 #: Magnitude bounds below which int64 arithmetic cannot overflow.
 _ADD_BOUND = 1 << 62
 _MUL_BOUND = 1 << 31
-#: div/mod additionally must match the interpreter's ``int(a / b)``,
-#: which is float-rounded: above 2**53 the correctly-rounded double
-#: quotient can truncate to a different integer than the exact one.
-_DIV_BOUND = 1 << 53
 _SHIFT_BOUND = 30
 
 _INT64_MIN = -(1 << 63)
@@ -208,7 +204,7 @@ def _div_mod(a, b):
 
 def _vh_div(vals):
     (a, b), (da, db) = vals
-    if _magnitude_reaches(a, _DIV_BOUND) or _magnitude_reaches(b, _DIV_BOUND):
+    if _magnitude_reaches(a, _ADD_BOUND):  # INT64_MIN // -1 overflows
         raise _Fallback
     q, _ = _div_mod(a, b)
     return q, da & db & (b != 0)
@@ -216,7 +212,7 @@ def _vh_div(vals):
 
 def _vh_mod(vals):
     (a, b), (da, db) = vals
-    if _magnitude_reaches(a, _DIV_BOUND) or _magnitude_reaches(b, _DIV_BOUND):
+    if _magnitude_reaches(a, _ADD_BOUND):  # INT64_MIN // -1 overflows
         raise _Fallback
     _, r = _div_mod(a, b)
     return r, da & db & (b != 0)

@@ -135,3 +135,19 @@ class TestValidationAndCopy:
         assert complete
         assert frozenset(("s_read", "s_write")) not in pairs
         assert not system.may_coexist("s_read", "s_write")
+
+    def test_truncated_coexistence_does_not_shadow_a_larger_budget(self):
+        from repro.analysis.symbolic import TruncationWarning
+        from repro.designs import get_design
+
+        system = get_design("traffic").build()
+        with pytest.warns(TruncationWarning):
+            truncated = system.coexistence(max_markings=2)
+        assert truncated == (frozenset(), False)
+        pairs, complete = system.coexistence()
+        assert complete and len(pairs) == 4
+        assert (pairs, complete) == \
+            get_design("traffic").build().coexistence()
+        # a complete answer serves any later budget or backend
+        assert system.coexistence(max_markings=2) == (pairs, True)
+        assert system.coexistence(backend="symbolic") == (pairs, True)

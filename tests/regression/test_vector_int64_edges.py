@@ -8,9 +8,10 @@ Shrunk from differential sweeps against the interpreter:
   ``2**62 + 2**62`` wrapped silently to INT64_MIN;
 * ``np.abs(INT64_MIN)`` wraps to itself, so magnitude guards built on
   it let ``neg``/``abs``/``div`` of INT64_MIN wrap silently;
-* ``div`` above ``2**53``: the interpreter's ``int(a / b)`` is
-  float-rounded, so the engine must fall back to the interpreter's own
-  value function rather than computing the exact quotient.
+* ``div`` above ``2**53``: the interpreter once computed ``int(a / b)``
+  through a float; both now truncate exactly, and the numpy engine
+  keeps its integer quotient there (only ``INT64_MIN // -1`` falls
+  back, since that quotient overflows int64).
 
 Every case runs >= 8 lanes so :class:`VectorSimulator` auto-selects the
 numpy engine, and asserts byte-identical traces against the interpreter
@@ -119,8 +120,8 @@ def test_mixed_sign_divmod_numpy_parity(op_name):
 
 
 def test_div_above_float_exact_bound_falls_back_to_interpreter_value():
-    """(2**60 - 1) / -2: ``int(a / b)`` rounds away from the exact
-    truncated quotient — traces must carry the interpreter's value."""
+    """(2**60 - 1) / -2 and friends: operands past 2**53, where a float
+    quotient would round, must give the interpreter's exact value."""
     pairs = [((1 << 60) - 1, -2), (-(1 << 60) + 3, 2),
              ((1 << 60) - 1, -3), ((1 << 53) + 1, -2),
              (-(1 << 53), 3), ((1 << 62) - 1, -7),

@@ -1,4 +1,4 @@
-"""ShardedQueue: sharding, priorities, throttling, WAL resume."""
+"""ShardedQueue: sharding, FIFO claims, WAL resume."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ from repro.runtime import probe_job
 from repro.runtime.durable import Journal, read_journal
 from repro.runtime.service import (
     ShardedQueue,
-    ThrottledError,
-    TokenBucket,
     replay_queue_journal,
     shard_of,
 )
@@ -59,13 +57,14 @@ class TestOrdering:
         order = [queue.claim().key for _ in specs]
         assert order == [spec.key for spec in specs]
 
-    def test_higher_priority_claims_first(self):
-        queue = ShardedQueue(shards=1)
-        low, high = _specs(2)
-        queue.submit(low, priority=0)
-        queue.submit(high, priority=5)
-        assert queue.claim().key == high.key
-        assert queue.claim().key == low.key
+    def test_unpinned_claims_follow_acceptance_order_across_shards(self):
+        queue = ShardedQueue(shards=4)
+        specs = _specs(12)
+        for spec in specs:
+            queue.submit(spec)
+        assert len({shard_of(spec.key, 4) for spec in specs}) > 1
+        assert [queue.claim().key for _ in specs] == [s.key for s in specs]
+        assert queue.claim() is None
 
     def test_submit_is_idempotent_per_key(self):
         queue = ShardedQueue(shards=2)
@@ -85,7 +84,6 @@ class TestSettle:
         queue.settle(job.key, "ok", payload={"v": 1})
         assert len(queue) == 0
         assert queue.stats()["claimed"] == 0
-        assert queue.stats()["tenants"]["default"]["settled"] == 1
 
     def test_requeue_expired_returns_lost_claims(self):
         queue = ShardedQueue(shards=1)
@@ -95,32 +93,6 @@ class TestSettle:
         job.claimed_at -= 100.0  # pretend the worker died long ago
         assert queue.requeue_expired(lease_seconds=30.0) == [job.key]
         assert queue.claim().key == job.key  # claimable again
-
-
-class TestThrottling:
-    def test_bucket_empties_and_refills(self):
-        bucket = TokenBucket(rate=1.0, burst=2.0)
-        assert bucket.try_take(now=0.0)
-        assert bucket.try_take(now=0.0)
-        assert not bucket.try_take(now=0.0)    # burst exhausted
-        assert bucket.try_take(now=1.0)        # 1s -> one token back
-
-    def test_over_rate_submission_raises_and_counts(self):
-        queue = ShardedQueue(shards=1, rate=1000.0, burst=2.0)
-        specs = _specs(4)
-        queue.submit(specs[0], tenant="t")
-        queue.submit(specs[1], tenant="t")
-        with pytest.raises(ThrottledError):
-            queue.submit(specs[2], tenant="t")
-        assert queue.stats()["tenants"]["t"]["throttled"] == 1
-
-    def test_tenants_have_independent_buckets(self):
-        queue = ShardedQueue(shards=1, rate=1000.0, burst=1.0)
-        specs = _specs(3)
-        queue.submit(specs[0], tenant="a")
-        with pytest.raises(ThrottledError):
-            queue.submit(specs[1], tenant="a")
-        queue.submit(specs[2], tenant="b")  # b's bucket is untouched
 
 
 class TestDurability:
@@ -145,7 +117,7 @@ class TestDurability:
         with Journal(path, fresh=True) as journal:
             queue = ShardedQueue(shards=2, journal=journal)
             for spec in specs:
-                queue.submit(spec, tenant="acme", priority=3)
+                queue.submit(spec)
             done = queue.claim()
             queue.settle(done.key, "ok", payload={"v": 1})
         # ... SIGKILL ... restart:
@@ -154,9 +126,11 @@ class TestDurability:
         assert set(settled) == {done.key}
         assert settled[done.key]["payload"] == {"v": 1}
         assert len(revived) == 3
+        assert [job.key for job in revived.pending()] == [
+            spec.key for spec in specs if spec.key != done.key]
         for job in revived.pending():
-            assert job.tenant == "acme" and job.priority == 3
             assert job.shard == shard_of(job.key, 2)
+            assert job.spec.key == job.key
 
     def test_failed_settle_is_requeued_on_resume(self, tmp_path):
         # at-least-once: a failure is not a completion

@@ -11,7 +11,7 @@ from repro.runtime.service import (
     TieredBackend,
 )
 from repro.runtime.cache import ResultCache
-from repro.runtime.supervisor import ConnectionBreaker
+from repro.runtime.resilience import ConnectionBreaker
 
 KEY_A = "ab" + "0" * 62
 KEY_B = "cd" + "0" * 62

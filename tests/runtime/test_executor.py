@@ -5,16 +5,26 @@ they stay fast even on a single-core machine; the byte-identity test is
 the contract that parallel execution is a pure throughput optimisation.
 """
 
+import shutil
+import threading
+from pathlib import Path
+
 import pytest
 
 from repro.runtime import (
     ExecutionEngine,
+    Journal,
     ResultCache,
     check_job,
+    iter_settled,
+    load_job_file,
     probe_job,
+    read_journal,
     simulate_job,
     synthesize_job,
 )
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def zoo_jobs(zoo):
@@ -98,6 +108,24 @@ class TestParallel:
         again = engine.run([probe_job("ok")])
         assert again.ok
 
+    def test_crash_job_fails_after_its_attempt_budget(self):
+        # the engine's whole answer to a poison job: it spends retries + 1
+        # attempts, ends failed, and the jobs around it complete
+        jobs = [probe_job("ok", payload=1, label="a"),
+                probe_job("crash", label="poison"),
+                probe_job("ok", payload=2, label="b"),
+                probe_job("ok", payload=3, label="c")]
+        with ExecutionEngine(workers=2, retries=2, backoff=0) as engine:
+            batch = engine.run(jobs)
+        by_label = {r.spec.label: r for r in batch}
+        assert by_label["poison"].status == "failed"
+        assert by_label["poison"].attempts == 3
+        assert "died" in by_label["poison"].error
+        assert [by_label[x].payload for x in "abc"] == [
+            {"echo": 1}, {"echo": 2}, {"echo": 3}]
+        assert batch.failures() == [by_label["poison"]]
+        assert batch.metrics.failed == 1 and batch.metrics.succeeded == 3
+
     def test_timeout_charges_only_the_slow_job(self, zoo):
         design, system = zoo["gcd"]
         jobs = [probe_job("sleep", seconds=30.0),
@@ -167,3 +195,84 @@ class TestCachedBatches:
         assert len(cache) == 0
         rerun = engine.run([probe_job("fail")])
         assert rerun[0].status == "failed"  # re-executed, not served
+
+
+def _resume_map(path):
+    return {key: record.get("payload")
+            for key, record in iter_settled(read_journal(path))
+            if record.get("payload") is not None}
+
+
+class TestEngineControl:
+    def test_full_jitter_bounded_and_seeded(self):
+        engine = ExecutionEngine(backoff=0.08, jitter_seed=7)
+        delays = [engine._retry_delay(n) for n in (1, 2, 3)]
+        for attempt, delay in zip((1, 2, 3), delays):
+            assert 0.0 <= delay <= 0.08 * (2 ** (attempt - 1))
+        again = ExecutionEngine(backoff=0.08, jitter_seed=7)
+        assert [again._retry_delay(n) for n in (1, 2, 3)] == delays
+
+    def test_stop_event_interrupts_batch(self):
+        stop = threading.Event()
+        stop.set()
+        with ExecutionEngine() as engine:
+            batch = engine.run([probe_job("ok", payload=1)], stop_event=stop)
+        assert batch.interrupted
+        assert batch[0].status == "interrupted"
+        assert batch.metrics.interrupted_jobs == 1
+
+    def test_on_result_streams_finalisations(self):
+        seen = []
+        with ExecutionEngine() as engine:
+            engine.run([probe_job("ok", payload=1, label="x"),
+                        probe_job("fail", label="y")],
+                       on_result=lambda r: seen.append(r.status))
+        assert sorted(seen) == ["failed", "ok"]
+
+
+class TestEngineJournal:
+    def test_journal_records_dispatch_and_settle(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        jobs = [probe_job("ok", payload=1, label="x"),
+                probe_job("fail", label="y")]
+        with Journal(path, fresh=True) as journal:
+            with ExecutionEngine(retries=0, journal=journal) as engine:
+                engine.run(jobs)
+        records = read_journal(path)
+        kinds = [(r["type"], r.get("status")) for r in records]
+        assert kinds == [("dispatch", None), ("settle", "ok"),
+                         ("dispatch", None), ("settle", "failed")]
+
+    def test_resume_replays_settled_payloads(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        jobs = [probe_job("ok", payload={"n": 1}, label="x"),
+                probe_job("ok", payload={"n": 2}, label="y")]
+        with Journal(path, fresh=True) as journal:
+            with ExecutionEngine(journal=journal) as engine:
+                first = engine.run(jobs)
+        with ExecutionEngine() as engine:
+            second = engine.run(jobs, resume_from=_resume_map(path))
+        assert all(r.status == "replayed" for r in second)
+        assert [r.payload for r in second] == [r.payload for r in first]
+        assert second.metrics.replayed == 2
+        assert second.metrics.dispatched == 0  # nothing re-executed
+
+    def test_resumes_a_journal_with_a_quarantined_settle(self, tmp_path):
+        # written by an engine that still quarantined poison keys: the
+        # "quarantined" settle carries no payload, so its job runs again
+        path = tmp_path / "wal.jsonl"
+        shutil.copy(FIXTURES / "parent-batch-journal.jsonl", path)
+        jobs = load_job_file(FIXTURES / "parent-batch-jobs.json")
+        statuses = {key: record["status"]
+                    for key, record in iter_settled(read_journal(path))}
+        assert sorted(statuses.values()) == ["ok", "ok", "quarantined"]
+        with Journal(path, fresh=False) as journal:
+            with ExecutionEngine(retries=0, journal=journal) as engine:
+                batch = engine.run(jobs, resume_from=_resume_map(path))
+        by_label = {r.spec.label: r for r in batch}
+        assert by_label["a"].status == by_label["b"].status == "replayed"
+        assert by_label["a"].payload == {"echo": {"n": 1}}
+        assert by_label["poison"].status == "failed"
+        assert batch.metrics.dispatched == 1
+        assert list(iter_settled(read_journal(path)))[-1][1]["status"] == \
+            "failed"

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
+
 import pytest
 
 from repro.errors import DefinitionError
 from repro.runtime.resilience import (
     Backoff,
+    ConnectionBreaker,
     Deadline,
+    GracefulShutdown,
     parse_retry_after,
 )
 
@@ -104,3 +110,102 @@ class TestParseRetryAfter:
     def test_http_date_and_garbage_are_none(self):
         assert parse_retry_after("Wed, 21 Oct 2015 07:28:00 GMT") is None
         assert parse_retry_after("soon") is None
+
+
+class TestConnectionBreaker:
+    def _make(self, **kwargs):
+        clock = {"now": 0.0}
+        breaker = ConnectionBreaker(clock=lambda: clock["now"], **kwargs)
+        return breaker, clock
+
+    def test_starts_closed_and_allows(self):
+        breaker, _clock = self._make()
+        assert breaker.state == "closed"
+        assert breaker.allow()
+
+    def test_opens_after_consecutive_failures(self):
+        breaker, _clock = self._make(failure_threshold=3)
+        for _ in range(2):
+            breaker.record_failure()
+        assert breaker.state == "closed"
+        breaker.record_failure()
+        assert breaker.state == "open"
+        assert not breaker.allow()
+        assert breaker.short_circuits == 1
+
+    def test_success_resets_the_streak(self):
+        breaker, _clock = self._make(failure_threshold=2)
+        breaker.record_failure()
+        breaker.record_success()
+        breaker.record_failure()
+        assert breaker.state == "closed"  # streak broken, never reached 2
+
+    def test_half_open_after_recovery_lets_one_probe(self):
+        breaker, clock = self._make(failure_threshold=1,
+                                    recovery_seconds=5.0)
+        breaker.record_failure()
+        assert not breaker.allow()
+        clock["now"] = 6.0
+        assert breaker.state == "half_open"
+        assert breaker.allow()        # the single probe slot
+        assert not breaker.allow()    # second caller is refused
+        breaker.record_success()
+        assert breaker.state == "closed"
+        assert breaker.allow()
+
+    def test_failed_probe_reopens_and_restarts_the_clock(self):
+        breaker, clock = self._make(failure_threshold=1,
+                                    recovery_seconds=5.0)
+        breaker.record_failure()
+        clock["now"] = 6.0
+        assert breaker.allow()
+        breaker.record_failure()
+        assert breaker.state == "open"
+        clock["now"] = 10.0           # only 4s since reopen: still open
+        assert not breaker.allow()
+        clock["now"] = 11.5
+        assert breaker.state == "half_open"
+
+    def test_transitions_and_report(self):
+        breaker, clock = self._make(failure_threshold=1,
+                                    recovery_seconds=1.0)
+        breaker.record_failure()      # closed -> open
+        clock["now"] = 2.0
+        breaker.allow()               # open -> half_open (+ probe)
+        breaker.record_success()      # half_open -> closed
+        report = breaker.report()
+        assert report["state"] == "closed"
+        assert report["transitions"] == 3
+        assert report["failures"] == 1
+        assert report["successes"] == 1
+        assert report["consecutive_failures"] == 0
+
+    def test_validation(self):
+        with pytest.raises(DefinitionError):
+            ConnectionBreaker(failure_threshold=0)
+        with pytest.raises(DefinitionError):
+            ConnectionBreaker(recovery_seconds=-1.0)
+
+
+class TestGracefulShutdown:
+    def test_first_signal_sets_event_second_raises(self):
+        with GracefulShutdown() as shutdown:
+            os.kill(os.getpid(), signal.SIGTERM)
+            assert shutdown.stop_event.wait(timeout=2.0)
+            assert shutdown.signals_seen == 1
+            with pytest.raises(KeyboardInterrupt):
+                os.kill(os.getpid(), signal.SIGTERM)
+        # handlers restored on exit
+        assert signal.getsignal(signal.SIGTERM) is not shutdown._handle
+
+    def test_noop_outside_main_thread(self):
+        seen = []
+
+        def body():
+            with GracefulShutdown() as shutdown:
+                seen.append(shutdown._installed)
+
+        thread = threading.Thread(target=body)
+        thread.start()
+        thread.join()
+        assert seen == [False]

@@ -17,6 +17,7 @@ UNDEF, and assert per lane that
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,13 +33,17 @@ from repro.semantics.vector import (
 )
 
 #: Signed and boundary operands: zero neighbourhoods, the mul bound
-#: (2**31), the div float-rounding bound (2**53), the add bound (2**62)
-#: and the int64 limits — each straddled from both sides — plus UNDEF.
+#: (2**31), 2**53 (where a float quotient stops being exact), the add
+#: bound (2**62) and the int64 limits — each straddled from both sides —
+#: plus UNDEF.  The operands above 2**53 include quotients a
+#: float-rounded ``int(a / b)`` gets wrong, e.g. -(2**60 + 1) / 3.
 BOUNDARY = [
     0, 1, -1, 2, -2, 3, -3, 7, -7, 10, -13, 63, -64, 1000,
     (1 << 31) - 1, 1 << 31, -(1 << 31) - 1,
-    (1 << 53) - 1, (1 << 53) + 1, -(1 << 53),
-    (1 << 60) - 1, -(1 << 60) + 3,
+    (1 << 53) - 1, (1 << 53) + 1, -(1 << 53), -(1 << 53) - 3,
+    (1 << 55) + 5, -(1 << 58) + 7,
+    (1 << 60) - 1, -(1 << 60) + 3, -(1 << 60) - 1,
+    (1 << 61) + 11,
     (1 << 62) - 1, 1 << 62, -(1 << 62),
     _INT64_MAX, _INT64_MIN, _INT64_MIN + 1,
     UNDEF,
@@ -122,13 +127,22 @@ def test_divmod_mixed_sign_sweep(name):
     assert not leftover  # div/mod of in-range operands always fits
 
 
-def test_div_float_rounding_quirk_is_pinned():
-    """The interpreter's ``int(a / b)`` is float-rounded; above 2**53 it
-    can differ from exact truncation, and the vector backend must
-    reproduce the interpreter's value, not the mathematical one."""
-    a, b = (1 << 60) - 1, -2
-    exact_trunc = -(a // 2)
-    op = get_operation("div")
-    assert op.evaluate(a, b) != exact_trunc  # the quirk is real
-    vals, defs = _run_instruction(op, [(a, b)])
-    assert defs[0] and int(vals[0]) == op.evaluate(a, b)
+def test_divmod_are_exact_above_the_float_bound():
+    """div truncates toward zero and mod takes the dividend's sign,
+    exactly, on every grid pair: a float-rounded ``int(a / b)`` gave
+    -384307168202282304 for -(2**60 + 1) / 3 and -65 for its remainder."""
+    div, mod = get_operation("div"), get_operation("mod")
+    assert div.evaluate(-(2**60 + 1), 3) == -384307168202282325
+    assert mod.evaluate(-(2**60 + 1), 3) == -2
+    assert div.evaluate((1 << 60) - 1, -2) == -((1 << 59) - 1)
+    for a, b in itertools.product(BOUNDARY, BOUNDARY):
+        if a is UNDEF or b is UNDEF or b == 0:
+            continue
+        quotient = int(Fraction(a, b))  # int() of a Fraction truncates
+        assert div.evaluate(a, b) == quotient, (a, b)
+        assert mod.evaluate(a, b) == a - b * quotient, (a, b)
+    pairs = [(-(2**60 + 1), 3), ((1 << 60) - 1, -2)]
+    for op in (div, mod):
+        vals, defs = _run_instruction(op, pairs)
+        assert defs.all()
+        assert [int(v) for v in vals] == [op.evaluate(*p) for p in pairs]

@@ -423,16 +423,39 @@ class TestDurableCli:
         assert blob["replayed"] == 1
         assert blob["dispatched"] == 0
 
-    def test_batch_quarantine_exit_code(self, tmp_path, capsys):
+    def test_batch_crash_job_exits_one(self, tmp_path):
         from repro.runtime import probe_job, write_job_file
 
         jobfile = tmp_path / "jobs.json"
         write_job_file(str(jobfile), [probe_job("crash", label="poison"),
                                       probe_job("ok", payload=1, label="a")])
+        results_path = tmp_path / "results.json"
         assert main(["batch", str(jobfile), "--workers", "2",
-                     "--retries", "4", "--quarantine-after", "2"]) == 3
-        out = capsys.readouterr().out
-        assert "quarantined" in out
+                     "--retries", "1",
+                     "--results-json", str(results_path)]) == 1
+        results = json.loads(results_path.read_text(encoding="utf-8"))
+        by_label = {r["label"]: r for r in results}
+        assert by_label["poison"]["status"] == "failed"
+        assert by_label["poison"]["attempts"] == 2
+        assert by_label["a"]["status"] == "ok"
+
+    @pytest.mark.parametrize("argv", [
+        ["batch", "jobs.json", "--quarantine-after", "2"],
+        ["batch", "jobs.json", "--hang-timeout", "1"],
+        ["batch", "jobs.json", "--server", "x", "--tenant", "t"],
+        ["batch", "jobs.json", "--server", "x", "--priority", "1"],
+        ["sweep", "gcd", "--hang-timeout", "1"],
+        ["faults", "gcd", "--quarantine-after", "2"],
+        ["serve", "--rate", "1"],
+        ["serve", "--burst", "1"],
+        ["serve", "--max-inflight", "1"],
+    ])
+    def test_removed_supervision_and_tenant_options_are_rejected(
+            self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_faults_journal_resume_identical(self, tmp_path, capsys):
         journal = tmp_path / "campaign.jsonl"
