@@ -7,8 +7,8 @@ byte-identical to the interpreter's** — same events, same firings, same
 latches, conflicts, final marking and state, per lane, on every zoo
 design and under every supported firing policy.
 
-This harness extends E8c's naive-vs-fast differential pattern one level
-up the stack:
+This harness holds the compiled backend to the interpreter, the
+reference Definition 3.1 evaluator:
 
 * E13a checks the identity claim across the full zoo × policy matrix
   (both the scalar and the numpy engine);

@@ -5,18 +5,12 @@ behaviour definition is operational.  This benchmark measures the
 simulator's throughput: control steps and external events per second on
 the looping zoo designs, plus scaling over a widening parallel design.
 The benchmarked kernel is a 200-iteration counter run.
-
-E8c races the naive full-recompute evaluator against the incremental
-fast path (per-marking caches + dirty-set propagation) on loop-heavy
-workloads, consuming the machine-readable ``SimMetrics`` JSON the run
-emits — the same payload ``repro simulate --profile-json`` produces.
 """
 
-import json
 import time
 
 from repro.io import format_table
-from repro.semantics import Environment, compare_paths, simulate
+from repro.semantics import Environment, simulate
 from repro.synthesis import compile_source
 
 from conftest import emit
@@ -82,53 +76,3 @@ def test_e8_scaling_with_parallel_width(benchmark):
     trace = benchmark(simulate, system, Environment())
     assert trace.terminated
 
-
-def loop_heavy_source(iterations: int) -> str:
-    return f"""
-        design hot {{ input l; output o; var n = 0, acc = 1, limit;
-          limit = read(l);
-          while (n < limit) {{
-            acc = acc + n * n;
-            write(o, acc);
-            n = n + 1;
-          }}
-        }}"""
-
-
-def test_e8c_fast_path_vs_naive():
-    """Incremental fast path: identical traces, measured speedup.
-
-    The per-design metrics come back through the JSON serialisation
-    (``SimMetrics.to_json`` → ``json.loads``) to pin the machine-readable
-    contract the CLI ``--profile-json`` flag shares.
-    """
-    workloads = [
-        ("counter×200", compile_source("""
-            design bigcount { input l; output o; var n = 0, limit;
-              limit = read(l);
-              while (n < limit) { write(o, n); n = n + 1; }
-            }"""), Environment.of(l=[200])),
-        ("loop-heavy×300", compile_source(loop_heavy_source(300)),
-         Environment.of(l=[300])),
-    ]
-    rows = []
-    for name, system, env in workloads:
-        report = compare_paths(system, env, max_steps=500_000)
-        assert report["identical"], f"{name}: fast path diverged"
-        fast = json.loads(json.dumps(report["fast"]))  # JSON round trip
-        naive = report["naive"]
-        hits = sum(fast["cache_hits"].values())
-        misses = sum(fast["cache_misses"].values())
-        # loop-heavy workloads revisit markings: caches must pay off
-        assert hits > misses, f"{name}: {hits} hits <= {misses} misses"
-        rows.append([
-            name, fast["steps"],
-            naive["port_evaluations"], fast["port_evaluations"],
-            f"{hits}/{misses}",
-            f"{fast['cache_hit_rate']:.0%}",
-            f"{report['speedup']:.2f}x",
-        ])
-    emit(format_table(
-        ["workload", "steps", "naive evals", "fast evals",
-         "hits/misses", "hit rate", "speedup"],
-        rows, title="E8c: incremental fast path vs naive evaluator"))

@@ -11,12 +11,12 @@ Commands
     — no reachability enumeration — and report diagnostics with stable
     rule ids; exits 1 when findings at/above ``--fail-on`` remain.
 ``simulate DESIGN [--input name=v1,v2,…]… [--max-steps N] [--profile]
-[--profile-json PATH] [--naive] [--seed N] [--checkpoint-dir DIR
+[--profile-json PATH] [--seed N] [--checkpoint-dir DIR
 --checkpoint-every N] [--resume] [--backend interpreter|vector]``
     Execute against an environment and print the external events;
-    ``--profile`` adds step/evaluation/cache metrics (``--profile-json``
-    emits them machine-readable, ``--naive`` disables the incremental
-    fast path, ``--seed`` resolves firing choice through a seeded RNG).
+    ``--profile`` adds step/evaluation/phase-time metrics
+    (``--profile-json`` emits them machine-readable, ``--seed`` resolves
+    firing choice through a seeded RNG).
     ``--checkpoint-every`` persists durable snapshots into
     ``--checkpoint-dir``; ``--resume`` continues from the newest intact
     one with a byte-identical trace.  ``--backend vector`` runs the
@@ -303,8 +303,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             else:
                 print("no usable checkpoint found; starting fresh")
     if args.backend == "vector":
-        for flag, present in (("--naive", args.naive),
-                              ("--profile", args.profile),
+        for flag, present in (("--profile", args.profile),
                               ("--profile-json", bool(args.profile_json)),
                               ("--checkpoint-dir",
                                bool(args.checkpoint_dir))):
@@ -316,13 +315,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         from .semantics.simulator import Simulator
 
         kwargs = {"policy": policy} if policy is not None else {}
-        sim = Simulator(system, env, fast=not args.naive, hooks=hooks,
-                        **kwargs)
+        sim = Simulator(system, env, hooks=hooks, **kwargs)
         trace = sim.run(max_steps=args.max_steps, from_checkpoint=checkpoint)
     else:
         trace = simulate(system, env, max_steps=args.max_steps,
-                         fast=not args.naive, policy=policy,
-                         backend=args.backend)
+                         policy=policy, backend=args.backend)
     print(trace.summary())
     for event in trace.events:
         print(f"  step {event.end:4d}  {event}")
@@ -987,12 +984,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="input stream (repeatable)")
     p_sim.add_argument("--max-steps", type=int, default=100_000)
     p_sim.add_argument("--profile", action="store_true",
-                       help="print step/evaluation/cache metrics")
+                       help="print step/evaluation/phase-time metrics")
     p_sim.add_argument("--profile-json", metavar="PATH",
                        help="write the metrics as JSON ('-' for stdout)")
-    p_sim.add_argument("--naive", action="store_true",
-                       help="disable the incremental fast path "
-                            "(reference evaluator)")
     p_sim.add_argument("--seed", type=int, default=None,
                        help="resolve firing choice through a seeded RNG "
                             "(reproducible nondeterminism)")

@@ -10,12 +10,12 @@ per-fault seeded RNG — and then:
   :class:`~repro.semantics.simulator.StepPerturbation`;
 * arc glitches force arcs open/closed the same way;
 * ``bit_flip`` pokes the sequential state directly
-  (:meth:`~repro.semantics.simulator.Simulator.poke_state`), so the
-  incremental fast path stays valid;
+  (:meth:`~repro.semantics.simulator.Simulator.poke_state`), which the
+  next combinational pass reads;
 * ``stuck_at`` and ``guard_invert`` resolve through the simulator's
   value tap (``resolve_value``); a stuck-at fault sets
-  :attr:`~repro.semantics.simulator.SimHook.perturbs_values` so every
-  step takes the full reference pass while the injector is attached.
+  :attr:`~repro.semantics.simulator.SimHook.perturbs_values` so the
+  simulator calls the port taps while the injector is attached.
 
 Every *effective* application is recorded in :attr:`FaultInjector.
 injections` as ``(step, fault_index)`` — the campaign reads
@@ -56,8 +56,8 @@ class FaultInjector(SimHook):
         #: Effective applications, in order: (step, fault index).
         self.injections: list[tuple[int, int]] = []
         self._recorded_this_step: set[int] = set()
-        # stuck-at faults rewrite combinational port values: the run must
-        # take the full reference pass every step
+        # stuck-at faults rewrite combinational port values: ask the
+        # simulator to call the port taps
         self.perturbs_values = any(spec.kind == "stuck_at"
                                    for spec in self.specs)
         self._port_faults: dict[PortId, list[int]] = {}

@@ -5,8 +5,9 @@ or more implementations that must agree, and reports any disagreement as
 a :class:`Divergence`:
 
 ``trace``
-    interpreter fast path vs naive evaluator vs vector backend (scalar
-    and numpy engines): traces must be observationally equal
+    interpreter vs vector backend (scalar and numpy engines, single
+    lane and ``capture_errors`` batches): traces must be observationally
+    equal
     (:func:`~repro.semantics.profile.traces_equivalent`) or fail with
     the same structured error class/kind.
 ``analysis``
@@ -165,15 +166,15 @@ def _is_numpy_range_limit(outcome) -> bool:
 
 
 def trace_oracle(case: FuzzCase, *, max_steps: int = 256) -> OracleReport:
-    """Interpreter (fast + naive) vs vector backend (scalar + numpy)."""
+    """Interpreter vs vector backend (scalar + numpy)."""
     from ..semantics.simulator import simulate
     from ..semantics.vector import Lane, VectorSimulator
 
     report = OracleReport()
     system, env, strict = case.system, case.environment, case.strict
 
-    def interp(fast: bool):
-        return simulate(system, env.fork(), strict=strict, fast=fast,
+    def interp():
+        return simulate(system, env.fork(), strict=strict,
                         max_steps=max_steps, on_limit="return")
 
     def vector(mode: str):
@@ -205,9 +206,8 @@ def trace_oracle(case: FuzzCase, *, max_steps: int = 256) -> OracleReport:
                                  str(error)))
         return outcomes
 
-    reference = _outcome(lambda: interp(True))
+    reference = _outcome(interp)
     checks = (
-        ("fast_naive_mismatch", lambda: interp(False)),
         ("vector_scalar_mismatch", lambda: vector("scalar")),
         ("vector_numpy_mismatch", lambda: vector("numpy")),
     )
@@ -377,7 +377,7 @@ def _runtime_families(case: FuzzCase, max_steps: int) -> frozenset[str]:
     monitors = [SafetyMonitor(), DriveConflictMonitor(),
                 GuardConflictMonitor()]
     simulator = Simulator(case.system, case.environment.fork(),
-                          MaximalStepPolicy(), False, True, monitors)
+                          MaximalStepPolicy(), strict=False, hooks=monitors)
     findings = []
     trace = None
     try:

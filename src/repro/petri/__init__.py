@@ -17,7 +17,6 @@ Public surface:
 """
 
 from .execution import (
-    TokenGameCache,
     always_true,
     enabled_transitions,
     fire,
@@ -84,7 +83,6 @@ __all__ = [
     "fire_step",
     "maximal_step",
     "run_to_completion",
-    "TokenGameCache",
     "StructuralRelations",
     "transitive_closure_bool",
     "dominators",

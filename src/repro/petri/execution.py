@@ -10,7 +10,7 @@ ports from the data path (Definition 3.1(4): multiple guards are OR-ed).
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from ..errors import ExecutionError
 from .marking import Marking
@@ -120,89 +120,6 @@ def maximal_step(net: PetriNet, marking: Marking,
                 available[p] = available.get(p, 0) - 1
             step.append(t)
     return step
-
-
-class TokenGameCache:
-    """Memoized token-game queries over a *fixed* net structure.
-
-    The simulator's control phase asks the same questions at every step —
-    which transitions are enabled, what the maximal step looks like — and
-    a control state revisited inside a loop asks them for a marking it has
-    already seen.  This cache freezes the preset relation into tuples once
-    and memoizes the enabled-transition set per marking (markings are
-    immutable and hashable), so the steady state of a loop costs one dict
-    lookup instead of a full preset scan.
-
-    The net must not be mutated while the cache is alive; all library
-    transformations are pure (they build new nets), so the simulator can
-    hold one cache per run without invalidation logic.  ``hits`` /
-    ``misses`` feed :class:`~repro.semantics.profile.SimMetrics`.
-    """
-
-    __slots__ = ("net", "hits", "misses", "max_markings",
-                 "_preset", "_sorted_transitions", "_enabled")
-
-    def __init__(self, net: PetriNet, *, max_markings: int = 1 << 16) -> None:
-        self.net = net
-        self.hits = 0
-        self.misses = 0
-        self.max_markings = max_markings
-        # insertion order preserved: identical to iterating net.transitions
-        self._preset: dict[str, tuple[str, ...]] = {
-            t: tuple(net.preset(t)) for t in net.transitions
-        }
-        self._sorted_transitions: tuple[str, ...] = tuple(sorted(net.transitions))
-        self._enabled: dict[Marking, tuple[str, ...]] = {}
-
-    @property
-    def sorted_transitions(self) -> tuple[str, ...]:
-        """All transitions in name order (for sequential priority)."""
-        return self._sorted_transitions
-
-    def enabled(self, marking: Marking) -> tuple[str, ...]:
-        """Enabled transitions (guards ignored), in insertion order."""
-        cached = self._enabled.get(marking)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        result = tuple(t for t, preset in self._preset.items()
-                       if marking.covers(preset))
-        if len(self._enabled) < self.max_markings:
-            self._enabled[marking] = result
-        return result
-
-    def maximal_step(self, marking: Marking,
-                     guard_eval: GuardEval = always_true,
-                     priority: Sequence[str] | None = None,
-                     rng: random.Random | None = None) -> list[str]:
-        """Drop-in for :func:`maximal_step`, reusing the memoized
-        enabled set.  Produces the exact same step (content and order)
-        as the module-level function for any ``priority`` and ``rng``
-        (the shuffle is applied to the same base list the module-level
-        function shuffles, so both consume the rng identically)."""
-        enabled = self.enabled(marking)
-        if rng is not None:
-            base = list(priority) if priority is not None else list(self._preset)
-            rng.shuffle(base)
-            admitted = set(enabled)
-            order: Iterable[str] = (t for t in base if t in admitted)
-        elif priority is None:
-            order = enabled
-        else:
-            admitted = set(enabled)
-            order = (t for t in priority if t in admitted)
-        available: dict[str, int] = dict(marking)
-        step: list[str] = []
-        for t in order:
-            if not guard_eval(t):
-                continue
-            preset = self._preset[t]
-            if all(available.get(p, 0) >= 1 for p in preset):
-                for p in preset:
-                    available[p] = available.get(p, 0) - 1
-                step.append(t)
-        return step
 
 
 def run_to_completion(net: PetriNet, *, guard_eval: GuardEval = always_true,

@@ -286,9 +286,8 @@ class CheckpointHook(SimHook):
 
     Snapshots are taken inside ``pre_step`` — the documented safe
     boundary — so each one captures exactly the state the step is about
-    to start from.  The hook overrides no value-path method, so the
-    incremental fast path stays enabled and traces stay byte-identical
-    to an unhooked run.
+    to start from.  The hook overrides no value-path method and perturbs
+    nothing, so traces stay byte-identical to an unhooked run.
     """
 
     def __init__(self, store: CheckpointStore, every: int) -> None:

@@ -163,13 +163,16 @@ def _system_dict(system) -> dict[str, Any]:
 # spec constructors — the public way to build jobs from model objects
 # ---------------------------------------------------------------------------
 def simulate_job(system, environment=None, *, max_steps: int = 10_000,
-                 fast: bool = True, strict: bool = True,
-                 on_limit: str = "raise", label: str = "") -> JobSpec:
+                 strict: bool = True, on_limit: str = "raise",
+                 label: str = "") -> JobSpec:
     """Simulate ``system`` against ``environment`` and record the trace."""
     return JobSpec("simulate", _system_dict(system), {
         "environment": _environment_to_dict(environment),
         "max_steps": max_steps,
-        "fast": fast,
+        # the interpreter has one evaluator; the field stays so every
+        # simulate job keeps the content-addressed key (and cache entry)
+        # it had when the spec chose between two
+        "fast": True,
         "strict": strict,
         "on_limit": on_limit,
     }, label=label)
@@ -466,7 +469,6 @@ def _run_simulate(system, params) -> dict[str, Any]:
         _environment_from_dict(params.get("environment")),
         max_steps=params.get("max_steps", 10_000),
         strict=params.get("strict", True),
-        fast=params.get("fast", True),
         on_limit=params.get("on_limit", "raise"),
     )
     payload = _trace_payload(system, trace)

@@ -20,8 +20,7 @@ from ..semantics.profile import SimMetrics
 #: SimMetrics counters summed during aggregation (wall times included:
 #: the aggregate reports total simulator effort across the fleet).
 _SUMMED_FIELDS = (
-    "steps", "firings", "port_evaluations", "dirty_evaluations",
-    "full_passes", "incremental_passes", "combinational_seconds",
+    "steps", "firings", "port_evaluations", "combinational_seconds",
     "control_seconds", "wall_seconds",
 )
 
@@ -30,28 +29,19 @@ def aggregate_sim_metrics(records: Iterable[Mapping | SimMetrics]
                           ) -> SimMetrics:
     """Fold many per-run metrics into one fleet-wide :class:`SimMetrics`.
 
-    Counter fields are summed, ``peak_marked_places`` is the maximum,
-    cache hit/miss maps are merged key-wise, and ``fast_path`` is true
-    only when every run used the fast path.
+    Counter fields are summed and ``peak_marked_places`` is the maximum.
+    Dict records go through :meth:`SimMetrics.from_dict`, so keys the
+    record no longer has (older records' cache and pass counters) are
+    ignored.
     """
     total = SimMetrics()
-    seen_any = False
     for record in records:
         metrics = (record if isinstance(record, SimMetrics)
                    else SimMetrics.from_dict(dict(record)))
-        if not seen_any:
-            total.fast_path = metrics.fast_path
-            seen_any = True
-        else:
-            total.fast_path = total.fast_path and metrics.fast_path
         for name in _SUMMED_FIELDS:
             setattr(total, name, getattr(total, name) + getattr(metrics, name))
         total.peak_marked_places = max(total.peak_marked_places,
                                        metrics.peak_marked_places)
-        for name, count in metrics.cache_hits.items():
-            total.cache_hits[name] = total.cache_hits.get(name, 0) + count
-        for name, count in metrics.cache_misses.items():
-            total.cache_misses[name] = total.cache_misses.get(name, 0) + count
     return total
 
 

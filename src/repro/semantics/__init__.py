@@ -4,11 +4,14 @@
 * :class:`~repro.semantics.environment.Environment` — predefined input
   sequences per input vertex;
 * :class:`~repro.semantics.simulator.Simulator` — the two-phase
-  interpreter of Definition 3.1;
+  interpreter of Definition 3.1, the hook-capable reference semantics
+  (one evaluator: a full combinational pass per step over a plan
+  memoised per open-arc set);
 * :mod:`~repro.semantics.policies` — firing-choice strategies;
 * :mod:`~repro.semantics.profile` — :class:`~repro.semantics.profile.
-  SimMetrics` step-level observability and the naive-vs-fast-path
-  comparison harness;
+  SimMetrics` step-level observability and
+  :func:`~repro.semantics.profile.traces_equivalent`, the trace
+  equality every engine is held to;
 * :mod:`~repro.semantics.event_structure` — extraction of ``S(Γ)``;
 * :mod:`~repro.semantics.vector` — the compiled batch backend:
   :func:`~repro.semantics.vector.compile_system` lowers a system to
@@ -36,7 +39,6 @@ from .policies import (
 )
 from .profile import (
     SimMetrics,
-    compare_paths,
     profile_simulation,
     traces_equivalent,
 )
@@ -67,7 +69,6 @@ __all__ = [
     "simulate",
     "SimMetrics",
     "profile_simulation",
-    "compare_paths",
     "traces_equivalent",
     "Trace",
     "LatchRecord",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from typing import Protocol, Sequence
 
-from ..petri.execution import GuardEval, TokenGameCache, maximal_step
+from ..petri.execution import GuardEval, maximal_step
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
 
@@ -28,28 +28,7 @@ class FiringPolicy(Protocol):
         ...
 
 
-class _EngineBound:
-    """Mixin: accept a :class:`~repro.petri.execution.TokenGameCache`.
-
-    The simulator offers its per-run cache via :meth:`bind`; policies
-    that can exploit memoized enabled sets keep a reference and fall
-    back to the uncached module functions whenever ``choose`` is called
-    with a different net (policies are sometimes reused across systems
-    in tests).  Binding never changes which step is chosen — only how
-    fast it is found.
-    """
-
-    _engine: TokenGameCache | None = None
-
-    def bind(self, engine: TokenGameCache) -> None:
-        self._engine = engine
-
-    def _bound(self, net: PetriNet) -> TokenGameCache | None:
-        engine = self._engine
-        return engine if engine is not None and engine.net is net else None
-
-
-class MaximalStepPolicy(_EngineBound):
+class MaximalStepPolicy:
     """Fire a maximal conflict-free set of fireable transitions (default).
 
     Models one synchronous clock tick: all independent control signals
@@ -58,13 +37,10 @@ class MaximalStepPolicy(_EngineBound):
 
     def choose(self, net: PetriNet, marking: Marking,
                guard_eval: GuardEval) -> list[str]:
-        engine = self._bound(net)
-        if engine is not None:
-            return engine.maximal_step(marking, guard_eval)
         return maximal_step(net, marking, guard_eval)
 
 
-class SequentialPolicy(_EngineBound):
+class SequentialPolicy:
     """Fire exactly one transition per step, lowest name first.
 
     The fully interleaved, deterministic schedule — useful as the second
@@ -73,17 +49,12 @@ class SequentialPolicy(_EngineBound):
 
     def choose(self, net: PetriNet, marking: Marking,
                guard_eval: GuardEval) -> list[str]:
-        engine = self._bound(net)
-        if engine is not None:
-            step = engine.maximal_step(marking, guard_eval,
-                                       priority=engine.sorted_transitions)
-        else:
-            step = maximal_step(net, marking, guard_eval,
-                                priority=sorted(net.transitions))
+        step = maximal_step(net, marking, guard_eval,
+                            priority=sorted(net.transitions))
         return step[:1]
 
 
-class SeededMaximalPolicy(_EngineBound):
+class SeededMaximalPolicy:
     """Maximal step over a seeded-random candidate order.
 
     Unlike :class:`MaximalStepPolicy` (deterministic insertion order)
@@ -102,9 +73,6 @@ class SeededMaximalPolicy(_EngineBound):
 
     def choose(self, net: PetriNet, marking: Marking,
                guard_eval: GuardEval) -> list[str]:
-        engine = self._bound(net)
-        if engine is not None:
-            return engine.maximal_step(marking, guard_eval, rng=self._rng)
         return maximal_step(net, marking, guard_eval, rng=self._rng)
 
 

@@ -29,25 +29,20 @@ quiescent marking with tokens remaining is reported as a deadlock.
 Activations still open at quiescence are flushed so their events are
 observed (a terminal output state's event must not be lost).
 
-The incremental fast path
--------------------------
+One evaluator
+-------------
 
-With ``fast=True`` (the default) the engine memoizes everything the
-marking determines — the open-arc set, the restricted topological COM
-order with its consumer adjacency, and the drive-conflict analysis, all
-keyed by the frozen set of marked places — and replaces the full
-combinational pass with **dirty-set propagation**: only vertices
-downstream of arcs whose open/closed status changed, or of state ports
-whose value changed (latches, environment draws), are re-evaluated, in
-the cached topological order.  The first visit to an open-arc set (a
-topology-cache miss) falls back to a full pass, which re-bases the
-persistent value map; a control state revisited inside a loop therefore
-costs a few dict lookups plus the genuinely changed cone of logic.  The
-fast path is observationally a drop-in: it produces the same
-:class:`~repro.semantics.trace.Trace` as ``fast=False`` (the naive
-full-recompute evaluator, kept as the reference).  Either way the trace
-carries a :class:`~repro.semantics.profile.SimMetrics` record of what
-the run cost.
+Everything about the combinational pass except the values — the
+topological COM order, which source drives each input port, and the
+drive conflicts — is a pure function of the open-arc set.  The engine
+therefore memoises a *plan* per open-arc set (and the open-arc set per
+marked-place set) and recomputes every COM port from the sequential
+state each step, in the plan's order.  A control state revisited inside
+a loop pays for the values only.  The plan is keyed by the open-arc set
+the step actually uses, after any arc glitch a hook injected, so
+perturbed steps stay exact.  Every trace carries a
+:class:`~repro.semantics.profile.SimMetrics` record of what the run
+cost.
 
 Hooks
 -----
@@ -55,15 +50,12 @@ Hooks
 Fault injectors and runtime monitors (:mod:`repro.faults`) attach to the
 simulator through :class:`SimHook` — four optional methods called at
 fixed points of the step loop (``pre_step``, ``post_evaluate``,
-``resolve_value``, ``post_token_game``).  The contract that keeps the
-fast path honest: hook dispatch is bound in ``__post_init__`` per
-*overridden* method, so a simulator constructed without hooks executes
-the exact same per-step code as before the hook interface existed (one
-falsy check per call site), and traces are byte-identical.  A hook that
-rewrites combinational values (``perturbs_values = True``) disables
-dirty-set propagation for the whole run — every step takes the full
-reference pass, so the persistent value map can never go stale under
-injected values.
+``resolve_value``, ``post_token_game``).  Hook dispatch is bound in
+``__post_init__`` per *overridden* method, so a simulator constructed
+without hooks pays one falsy check per call site and nothing else.  A
+hook that rewrites combinational port values sets ``perturbs_values``;
+only then does the pass call the port taps, state ports first and then
+each computed port in evaluation order.
 
 Checkpoints
 -----------
@@ -84,9 +76,9 @@ long-running simulations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from time import perf_counter
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..core.events import ExternalEvent
 from ..core.system import DataControlSystem
@@ -94,7 +86,7 @@ from ..datapath.operations import OpKind
 from ..datapath.ports import PortId
 from ..datapath.validate import topological_com_order
 from ..errors import DefinitionError, ExecutionError, RuntimeFaultError, ValidationError
-from ..petri.execution import TokenGameCache, fire_step, is_enabled
+from ..petri.execution import fire_step, is_enabled
 from ..petri.marking import Marking
 from .environment import Environment
 from .policies import FiringPolicy, MaximalStepPolicy
@@ -117,7 +109,8 @@ class StepPerturbation:
     fault's observable damage — and a place gaining a token out of thin
     air opens a fresh activation).  ``open_arcs`` / ``close_arcs`` are
     applied to the open-arc set *after* the marking determines it — arc
-    glitches that never touch the marking-keyed caches.
+    glitches; the step's combinational plan is looked up for the
+    resulting open-arc set.
     """
 
     marking: Marking | None = None
@@ -134,13 +127,13 @@ class SimHook:
     hook sees the marking as perturbed by the hooks before it.
 
     Set :attr:`perturbs_values` to True when ``resolve_value`` rewrites
-    combinational **port** values (e.g. stuck-at faults): it forces the
-    full reference pass every step so no stale incremental value
-    survives an injection window.  Guard-only rewrites (``kind ==
-    "guard"``) do not need it.
+    combinational **port** values (e.g. stuck-at faults): only then are
+    the port taps called.  Guard-only rewrites (``kind == "guard"``) do
+    not need it.
     """
 
-    #: True when this hook rewrites combinational port values.
+    #: True when this hook rewrites combinational port values (the
+    #: simulator then calls ``resolve_value`` with ``kind="port"``).
     perturbs_values: bool = False
 
     def pre_step(self, sim: "Simulator", step: int,
@@ -201,6 +194,28 @@ class _Activation:
     start: int
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """What an open-arc set fixes about the combinational pass.
+
+    ``steps`` holds the COM vertices in topological order, each as
+    ``(sources, outputs)``: the one source port driving each input port
+    (``None`` when the port is undriven or conflicted) and the
+    ``(port, evaluate)`` pair of each output.  ``source_of`` maps every
+    input port an open arc targets to its source the same way; latches
+    read through it.  ``conflicts`` are the drive-conflict entries,
+    ``ports`` counts the COM output ports, and ``loop`` holds the error
+    when the open arcs close a combinational loop.
+    """
+
+    steps: tuple[tuple[tuple[PortId | None, ...],
+                       tuple[tuple[PortId, Callable[..., Value]], ...]], ...]
+    source_of: Mapping[PortId, PortId | None]
+    conflicts: tuple[_ConflictEntry, ...]
+    ports: int
+    loop: ValidationError | None
+
+
 @dataclass
 class Simulator:
     """Single-run executor for a :class:`DataControlSystem`.
@@ -220,15 +235,10 @@ class Simulator:
         When False they are recorded in the trace and the affected value
         becomes UNDEF, which lets the analysis tooling *observe* improper
         designs instead of dying on them.
-    fast:
-        When True (default), use the incremental fast path: per-marking
-        caches plus dirty-set combinational propagation (see the module
-        docstring).  When False, recompute everything from scratch each
-        step — the naive reference evaluator.  Both produce identical
-        traces.
     hooks:
         Instrumentation attached to this run (see :class:`SimHook`).
         Empty by default; with no hooks the step loop is unchanged.
+        ``hooks`` and ``backend`` are keyword-only.
     backend:
         ``"interpreter"`` (default) runs the step loop here;
         ``"vector"`` compiles the system once and delegates to
@@ -243,7 +253,7 @@ class Simulator:
     environment: Environment = field(default_factory=Environment)
     policy: FiringPolicy = field(default_factory=MaximalStepPolicy)
     strict: bool = True
-    fast: bool = True
+    _: KW_ONLY
     hooks: Sequence[SimHook] = ()
     backend: str = "interpreter"
 
@@ -273,31 +283,16 @@ class Simulator:
         # guard-port dependencies are marking-independent: freeze them once
         self._guard_ports = {t: self.system.guard_ports(t)
                              for t in self._net.transitions}
-        self._engine = TokenGameCache(self._net)
-        if self.fast:
-            bind = getattr(self.policy, "bind", None)
-            if callable(bind):
-                bind(self._engine)
-        # fast-path memo tables, keyed by frozen marked-place / open-arc sets
+        # memo tables: open arcs per marked-place set, plan per open-arc set
         self._arcs_cache: dict[frozenset[str], frozenset[str]] = {}
-        self._topo_cache: dict[
-            frozenset[str],
-            tuple[tuple[str, ...], dict[PortId, tuple[str, ...]]]] = {}
-        self._conflict_cache: dict[
-            frozenset[str],
-            tuple[tuple[_ConflictEntry, ...], frozenset[PortId]]] = {}
-        # incremental-evaluation state (valid between consecutive steps)
-        self._out_values: dict[PortId, Value] = {}
-        self._prev_active: frozenset[str] | None = None
-        self._prev_conflicted: frozenset[PortId] = frozenset()
-        self._dirty_state: set[PortId] = set()
+        self._plans: dict[frozenset[str], _Plan] = {}
         # hook dispatch: bind only *overridden* methods so an absent hook
         # costs one falsy check per call site and nothing else
         self._pre_hooks = []
         self._eval_hooks = []
         self._value_hooks = []
         self._game_hooks = []
-        self._force_full = False
+        perturbs_values = False
         for hook in self.hooks:
             if not isinstance(hook, SimHook):
                 raise DefinitionError(
@@ -312,8 +307,8 @@ class Simulator:
             if cls.post_token_game is not SimHook.post_token_game:
                 self._game_hooks.append(hook.post_token_game)
             if getattr(hook, "perturbs_values", False):
-                self._force_full = True
-        self._port_taps = self._force_full and bool(self._value_hooks)
+                perturbs_values = True
+        self._port_taps = perturbs_values and bool(self._value_hooks)
         # run-local state mirrored onto the instance so hooks and
         # checkpoint() can observe it mid-run
         self._current_step = 0
@@ -321,241 +316,108 @@ class Simulator:
         self._current_activations: dict[str, _Activation] = {}
         self._arc_overrides: tuple[frozenset[str], frozenset[str]] | None = None
         self.current_trace: Trace | None = None
-        self._reset_run_stats()
-
-    def _reset_run_stats(self) -> None:
-        self._hits = {"active_arcs": 0, "com_order": 0, "conflicts": 0}
-        self._misses = {"active_arcs": 0, "com_order": 0, "conflicts": 0}
-        self._port_evals = 0
-        self._dirty_evals = 0
-        self._full_passes = 0
-        self._incremental_passes = 0
 
     # ------------------------------------------------------------------
     # combinational phase
     # ------------------------------------------------------------------
     def _active_arcs(self, marked: frozenset[str]) -> frozenset[str]:
         """Open arcs (``C(S)`` for every marked ``S``), memoized."""
-        if self.fast:
-            cached = self._arcs_cache.get(marked)
-            if cached is not None:
-                self._hits["active_arcs"] += 1
-                return cached
-            self._misses["active_arcs"] += 1
+        cached = self._arcs_cache.get(marked)
+        if cached is not None:
+            return cached
         active: set[str] = set()
         for place in marked:
             active.update(self.system.control_arcs(place))
         result = frozenset(active)
-        if self.fast and len(self._arcs_cache) < self._CACHE_LIMIT:
+        if len(self._arcs_cache) < self._CACHE_LIMIT:
             self._arcs_cache[marked] = result
         return result
 
-    def _conflict_analysis(self, active: frozenset[str]
-                           ) -> tuple[tuple[_ConflictEntry, ...],
-                                      frozenset[PortId]]:
-        """Input ports driven by more than one distinct active source."""
-        drivers: dict[PortId, set[PortId]] = {}
-        for name in active:
-            arc = self._dp.arc(name)
-            drivers.setdefault(arc.target, set()).add(arc.source)
-        entries = tuple(
-            (port, f"input port {port} driven by {sorted(map(str, sources))}")
-            for port, sources in sorted(drivers.items(),
-                                        key=lambda item: str(item[0]))
-            if len(sources) > 1
-        )
-        return entries, frozenset(port for port, _ in entries)
+    def _plan(self, active: frozenset[str]) -> _Plan:
+        """The combinational plan of an open-arc set, memoized."""
+        plan = self._plans.get(active)
+        if plan is None:
+            plan = self._build_plan(active)
+            if len(self._plans) < self._CACHE_LIMIT:
+                self._plans[active] = plan
+        return plan
 
-    def _drive_conflicts(self, active: frozenset[str], step: int,
-                         trace: Trace) -> frozenset[PortId]:
-        """Record this step's drive conflicts; return the conflicted ports."""
-        if self.fast:
-            cached = self._conflict_cache.get(active)
-            if cached is None:
-                self._misses["conflicts"] += 1
-                cached = self._conflict_analysis(active)
-                if len(self._conflict_cache) < self._CACHE_LIMIT:
-                    self._conflict_cache[active] = cached
-            else:
-                self._hits["conflicts"] += 1
-        else:
-            cached = self._conflict_analysis(active)
-        entries, conflicted = cached
-        for _port, detail in entries:
+    def _build_plan(self, active: frozenset[str]) -> _Plan:
+        """Derive the plan: input sources, drive conflicts, COM order."""
+        dp = self._dp
+        sources: dict[PortId, set[PortId]] = {}
+        for name in active:
+            arc = dp.arc(name)
+            sources.setdefault(arc.target, set()).add(arc.source)
+        # a port with two distinct active sources is a bus-drive
+        # conflict; it reads UNDEF
+        conflicts = tuple(
+            (port, f"input port {port} driven by {sorted(map(str, srcs))}")
+            for port, srcs in sorted(sources.items(),
+                                     key=lambda item: str(item[0]))
+            if len(srcs) > 1
+        )
+        source_of = {port: next(iter(srcs)) if len(srcs) == 1 else None
+                     for port, srcs in sources.items()}
+        try:
+            order = topological_com_order(dp, active)
+        except ValidationError as error:
+            # only an injected arc glitch can close a loop at runtime:
+            # statically looping systems fail validation long before
+            return _Plan((), source_of, conflicts, 0, error)
+        steps = []
+        for name in order:
+            vertex = dp.vertex(name)
+            steps.append((
+                tuple(source_of.get(port) for port in vertex.input_ids()),
+                tuple((PortId(name, port), vertex.operation(port).evaluate)
+                      for port in vertex.out_ports)))
+        return _Plan(tuple(steps), source_of, conflicts,
+                     sum(len(outputs) for _sources, outputs in steps), None)
+
+    def _drive_conflicts(self, plan: _Plan, step: int, trace: Trace) -> None:
+        """Record this step's drive conflicts (strict mode raises)."""
+        for _port, detail in plan.conflicts:
             record = ConflictRecord(step, "drive", detail)
             trace.conflicts.append(record)
             if self.strict:
                 raise ExecutionError(record.detail)
-        return conflicted
 
-    def _topo_order(self, active: frozenset[str]) -> list[str]:
-        """Topological COM order, with combinational loops reported as a
-        runtime fault (they can only close at runtime through an injected
-        arc glitch — statically looping systems fail validation long
-        before simulation)."""
-        try:
-            return topological_com_order(self._dp, active)
-        except ValidationError as error:
+    def _evaluate(self, plan: _Plan) -> dict[PortId, Value]:
+        """Compute the combinational fixpoint: one pass in plan order.
+
+        Returns the value present at every output port.  Every COM port
+        is recomputed from the sequential state.
+        """
+        if plan.loop is not None:
             raise RuntimeFaultError(
                 f"combinational loop closed at step {self._current_step}: "
-                f"{error}",
-                step=self._current_step, kind="comb_loop") from error
-
-    def _com_topology(self, active: frozenset[str]
-                      ) -> tuple[tuple[tuple[str, ...],
-                                       dict[PortId, tuple[str, ...]]], bool]:
-        """Restricted topological COM order + consumer adjacency, memoized.
-
-        Returns ``((order, consumers), cache_hit)``.  ``consumers`` maps a
-        source port to the COM vertices it feeds through *active* arcs —
-        the edge relation dirty-set propagation walks.
-        """
-        cached = self._topo_cache.get(active)
-        if cached is not None:
-            self._hits["com_order"] += 1
-            return cached, True
-        self._misses["com_order"] += 1
-        order = tuple(self._topo_order(active))
-        com = set(order)
-        fanout: dict[PortId, list[str]] = {}
-        for name in active:
-            arc = self._dp.arc(name)
-            if arc.target.vertex in com:
-                fanout.setdefault(arc.source, []).append(arc.target.vertex)
-        result = (order, {src: tuple(dsts) for src, dsts in fanout.items()})
-        if len(self._topo_cache) < self._CACHE_LIMIT:
-            self._topo_cache[active] = result
-        return result, False
-
-    def _full_pass(self, active: frozenset[str], conflicted: frozenset[PortId],
-                   order: tuple[str, ...] | list[str]
-                   ) -> tuple[dict[PortId, Value], dict[PortId, Value]]:
-        """Evaluate every COM vertex from scratch (the reference pass)."""
-        out_values: dict[PortId, Value] = dict(self._state)
-        in_values: dict[PortId, Value] = {}
+                f"{plan.loop}",
+                step=self._current_step, kind="comb_loop") from plan.loop
+        values: dict[PortId, Value] = dict(self._state)
         taps = self._port_taps
         if taps:
             # value-perturbing hooks tap every port value, state included
-            for port in list(out_values):
-                out_values[port] = self._tap_port(port, out_values[port])
-
-        def resolve(port: PortId) -> Value:
-            if port in in_values:
-                return in_values[port]
-            if port in conflicted:
-                in_values[port] = UNDEF
-                return UNDEF
-            value: Value = UNDEF
-            for arc in self._dp.arcs_into(port):
-                if arc.name in active:
-                    value = out_values.get(arc.source, UNDEF)
-                    break  # conflicts were pre-detected; one active source
-            in_values[port] = value
-            return value
-
-        for name in order:
-            vertex = self._dp.vertex(name)
-            args = [resolve(p) for p in vertex.input_ids()]
-            for port in vertex.out_ports:
-                self._port_evals += 1
-                pid = PortId(name, port)
-                value = vertex.operation(port).evaluate(*args)
+            for port in list(values):
+                values[port] = self._tap_port(port, values[port])
+        get = values.get
+        for sources, outputs in plan.steps:
+            # an undriven or conflicted input has source None, which is
+            # never a key: it reads UNDEF (Definition 3.1(10))
+            args = [get(source, UNDEF) for source in sources]
+            for port, evaluate in outputs:
+                value = evaluate(*args)
                 if taps:
-                    value = self._tap_port(pid, value)
-                out_values[pid] = value
-        return out_values, in_values
+                    value = self._tap_port(port, value)
+                values[port] = value
+        self._port_evals += plan.ports
+        return values
 
     def _tap_port(self, port: PortId, value: Value) -> Value:
         """Apply every value hook's port tap, in hook order."""
         for resolve in self._value_hooks:
             value = resolve(self, self._current_step, "port", port, value)
         return value
-
-    def _incremental_pass(self, active: frozenset[str],
-                          conflicted: frozenset[PortId],
-                          order: tuple[str, ...],
-                          consumers: dict[PortId, tuple[str, ...]]
-                          ) -> tuple[dict[PortId, Value], dict[PortId, Value]]:
-        """Re-evaluate only the dirty cone of the persistent value map.
-
-        A vertex is dirty when (a) a state port it consumes changed value
-        since the last step, (b) an arc into it flipped open/closed, or
-        (c) its drive-conflict status flipped; dirtiness then propagates
-        along active arcs, which the cached topological order visits in
-        dependency order.  Every untouched port keeps its value from the
-        previous fixpoint — by construction that value is exactly what a
-        full pass would recompute.
-        """
-        out_values = self._out_values
-        assert self._prev_active is not None
-        dirty: set[str] = set()
-        for port in self._dirty_state:
-            out_values[port] = self._state[port]
-            dirty.update(consumers.get(port, ()))
-        for name in active.symmetric_difference(self._prev_active):
-            target = self._dp.arc(name).target.vertex
-            if self._dp.vertex(target).is_combinational:
-                dirty.add(target)
-        for port in conflicted.symmetric_difference(self._prev_conflicted):
-            if self._dp.vertex(port.vertex).is_combinational:
-                dirty.add(port.vertex)
-        in_values: dict[PortId, Value] = {}
-
-        def resolve(port: PortId) -> Value:
-            if port in in_values:
-                return in_values[port]
-            if port in conflicted:
-                in_values[port] = UNDEF
-                return UNDEF
-            value: Value = UNDEF
-            for arc in self._dp.arcs_into(port):
-                if arc.name in active:
-                    value = out_values.get(arc.source, UNDEF)
-                    break
-            in_values[port] = value
-            return value
-
-        for name in order:
-            if name not in dirty:
-                continue
-            vertex = self._dp.vertex(name)
-            args = [resolve(p) for p in vertex.input_ids()]
-            for port in vertex.out_ports:
-                self._port_evals += 1
-                self._dirty_evals += 1
-                pid = PortId(name, port)
-                new = vertex.operation(port).evaluate(*args)
-                if out_values.get(pid, _UNSET) != new:
-                    out_values[pid] = new
-                    dirty.update(consumers.get(pid, ()))
-        return out_values, in_values
-
-    def _evaluate(self, active: frozenset[str], conflicted: frozenset[PortId]
-                  ) -> tuple[dict[PortId, Value], dict[PortId, Value]]:
-        """Compute the combinational fixpoint.
-
-        Returns ``(out_values, in_values)``: the value present at every
-        output port and at every input port under the current marking.
-        """
-        if not self.fast:
-            self._full_passes += 1
-            return self._full_pass(active, conflicted,
-                                   self._topo_order(active))
-        (order, consumers), topo_hit = self._com_topology(active)
-        if topo_hit and self._prev_active is not None and not self._force_full:
-            self._incremental_passes += 1
-            out_values, in_values = self._incremental_pass(
-                active, conflicted, order, consumers)
-        else:
-            # cache miss (or first step): fall back to the full pass,
-            # re-basing the persistent value map from the state dict
-            self._full_passes += 1
-            out_values, in_values = self._full_pass(active, conflicted, order)
-            self._out_values = out_values
-        self._prev_active = active
-        self._prev_conflicted = conflicted
-        self._dirty_state.clear()
-        return out_values, in_values
 
     # ------------------------------------------------------------------
     # control phase helpers
@@ -582,17 +444,14 @@ class Simulator:
             return value
         return evaluate
 
-    def _record_choice_conflicts(self, marking: Marking, guard_eval,
-                                 step: int, trace: Trace) -> None:
-        """Dynamic Definition 3.2(3) check: competing fireable transitions."""
-        if self.fast:
-            enabled_set = set(self._engine.enabled(marking))
+    def _choice_conflicts(self, marking: Marking, guard_eval, step: int,
+                          trace: Trace) -> list[ConflictRecord]:
+        """Dynamic Definition 3.2(3) check: competing fireable transitions.
 
-            def enabled(t: str) -> bool:
-                return t in enabled_set
-        else:
-            def enabled(t: str) -> bool:
-                return is_enabled(self._net, marking, t)
+        Records and returns this step's choice conflicts.
+        """
+        net = self._net
+        records = []
         # sorted: frozenset iteration order is hash-dependent, and with
         # several conflicted places in one step the record order (and the
         # conflict strict mode raises first) must not vary across runs
@@ -600,15 +459,17 @@ class Simulator:
             if marking[place] >= 2:
                 continue
             fireable = [
-                t for t in self._net.postset(place)
-                if enabled(t) and guard_eval(t)
+                t for t in net.postset(place)
+                if is_enabled(net, marking, t) and guard_eval(t)
             ]
             if len(fireable) > 1:
-                trace.conflicts.append(ConflictRecord(
+                records.append(ConflictRecord(
                     step, "choice",
                     f"transitions {sorted(fireable)} compete for the token "
                     f"in place {place!r}",
                 ))
+        trace.conflicts.extend(records)
+        return records
 
     def _start_activations(self, places: list[str], step: int,
                            activations: dict[str, _Activation]) -> None:
@@ -623,10 +484,7 @@ class Simulator:
                     draw.add(source.vertex)
         for vertex in sorted(draw):
             port = PortId(vertex, self._dp.vertex(vertex).out_ports[0])
-            value = self.environment.draw(vertex)
-            if self.fast and self._state.get(port, UNDEF) != value:
-                self._dirty_state.add(port)
-            self._state[port] = value
+            self._state[port] = self.environment.draw(vertex)
 
     def _complete_activation(self, place: str, step: int,
                              activation: _Activation,
@@ -696,15 +554,13 @@ class Simulator:
         """Overwrite one sequential state value (SEU-style perturbation).
 
         Only ports that carry state (SEQ registers, input pads, output
-        records) may be poked; the change is flagged dirty so the
-        incremental fast path re-evaluates its combinational cone.
+        records) may be poked; the next combinational pass reads the new
+        value.
         """
         if port not in self._state:
             raise DefinitionError(
                 f"port {port} holds no sequential state; only SEQ/INPUT/"
                 f"OUTPUT ports can be poked")
-        if self.fast and self._state[port] != value:
-            self._dirty_state.add(port)
         self._state[port] = value
 
     def _apply_pre_hooks(self, step: int, marking: Marking,
@@ -837,11 +693,7 @@ class Simulator:
                 f"max_steps must be a positive step budget, got {max_steps}")
         if self.backend == "vector":
             return self._run_vector(max_steps, on_limit, from_checkpoint)
-        self._reset_run_stats()
-        # force a full-pass re-base on the first step of every run
-        self._prev_active = None
-        self._dirty_state.clear()
-        engine_hits0, engine_misses0 = self._engine.hits, self._engine.misses
+        self._port_evals = 0
         wall_start = perf_counter()
         comb_seconds = 0.0
         ctrl_seconds = 0.0
@@ -875,32 +727,23 @@ class Simulator:
             if self._arc_overrides is not None:
                 opens, closes = self._arc_overrides
                 active = frozenset((active | opens) - closes)
-            conflicted = self._drive_conflicts(active, step, trace)
-            out_values, in_values = self._evaluate(active, conflicted)
+            plan = self._plan(active)
+            self._drive_conflicts(plan, step, trace)
+            out_values = self._evaluate(plan)
             if self._eval_hooks:
                 for observe in self._eval_hooks:
                     observe(self, step, active, out_values)
             comb_seconds += perf_counter() - phase_start
             phase_start = perf_counter()
 
-            def resolve(port: PortId, _iv=in_values, _act=active,
-                        _ov=out_values, _cf=conflicted) -> Value:
-                if port in _iv:
-                    return _iv[port]
-                if port in _cf:
-                    return UNDEF
-                for arc in self._dp.arcs_into(port):
-                    if arc.name in _act:
-                        return _ov.get(arc.source, UNDEF)
-                return UNDEF
+            def resolve(port: PortId, _ov=out_values,
+                        _source_of=plan.source_of) -> Value:
+                return _ov.get(_source_of.get(port), UNDEF)
 
             guard_eval = self._guard_eval(out_values)
-            self._record_choice_conflicts(marking, guard_eval, step, trace)
-            if self.strict and any(c.kind == "choice" and c.step == step
-                                   for c in trace.conflicts):
-                bad = next(c for c in trace.conflicts
-                           if c.kind == "choice" and c.step == step)
-                raise ExecutionError(bad.detail)
+            choices = self._choice_conflicts(marking, guard_eval, step, trace)
+            if self.strict and choices:
+                raise ExecutionError(choices[0].detail)
 
             chosen = self.policy.choose(self._net, marking, guard_eval)
             if self._game_hooks:
@@ -932,8 +775,6 @@ class Simulator:
                 self._complete_activation(place, step, activation, out_values,
                                           resolve, latch_plan, trace)
             for port, (value, _state) in latch_plan.items():
-                if self.fast and self._state.get(port, UNDEF) != value:
-                    self._dirty_state.add(port)
                 self._state[port] = value
 
             marking = fire_step(self._net, marking, chosen, guard_eval)
@@ -956,35 +797,15 @@ class Simulator:
         trace.final_marking = marking
         trace.final_state = dict(self._state)
         trace.metrics = SimMetrics(
-            fast_path=self.fast,
             steps=step,
             firings=trace.num_firings,
             port_evaluations=self._port_evals,
-            dirty_evaluations=self._dirty_evals,
-            full_passes=self._full_passes,
-            incremental_passes=self._incremental_passes,
             peak_marked_places=peak_marked,
             combinational_seconds=comb_seconds,
             control_seconds=ctrl_seconds,
             wall_seconds=perf_counter() - wall_start,
-            cache_hits=dict(self._hits,
-                            token_game=self._engine.hits - engine_hits0),
-            cache_misses=dict(self._misses,
-                              token_game=self._engine.misses - engine_misses0),
         )
         return trace
-
-
-class _Unset:
-    """Sentinel distinct from every value, including UNDEF."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<unset>"
-
-
-_UNSET = _Unset()
 
 
 def simulate(system: DataControlSystem,
@@ -992,7 +813,6 @@ def simulate(system: DataControlSystem,
              policy: FiringPolicy | None = None,
              max_steps: int = 10_000,
              strict: bool = True,
-             fast: bool = True,
              on_limit: str = "raise",
              hooks: Sequence[SimHook] = (),
              backend: str = "interpreter") -> Trace:
@@ -1002,7 +822,6 @@ def simulate(system: DataControlSystem,
         environment if environment is not None else Environment(),
         policy if policy is not None else MaximalStepPolicy(),
         strict,
-        fast,
-        hooks,
+        hooks=hooks,
         backend=backend,
     ).run(max_steps=max_steps, on_limit=on_limit)

@@ -1055,8 +1055,7 @@ class VectorSimulator:
         trace.final_marking = st.plan.marking
         trace.final_state = {pid: st.regs[reg]
                              for pid, reg in self.compiled.state_ports}
-        trace.metrics = SimMetrics(fast_path=True, steps=st.step,
-                                   firings=trace.num_firings)
+        trace.metrics = SimMetrics(steps=st.step, firings=trace.num_firings)
 
     def _scalar_step(self, st: _ScalarLane) -> bool:
         """Advance one lane one step; True when the lane finished."""
@@ -1596,8 +1595,7 @@ class VectorSimulator:
                 trace.final_state = {
                     pid: (int(values[reg, j]) if defined[reg, j] else UNDEF)
                     for pid, reg in comp.state_ports}
-                trace.metrics = SimMetrics(fast_path=True,
-                                           steps=trace.step_count,
+                trace.metrics = SimMetrics(steps=trace.step_count,
                                            firings=firings[j],
                                            wall_seconds=wall)
                 result._traces[j] = trace

@@ -35,12 +35,12 @@ class TestHookNeutrality:
     def test_empty_injector_trace_identical(self):
         system, env = _gcd()
         plain = simulate(system, env.fork())
-        injected = simulate(system, env.fork(), hooks=[FaultInjector([])])
+        injector = FaultInjector([])
+        injected = simulate(system, env.fork(), hooks=[injector])
+        assert not injector.perturbs_values
         assert injected == plain
-        # the fast path must stay incremental: an empty injector has no
-        # stuck-at faults, so perturbs_values is False
-        assert injected.metrics.incremental_passes == \
-            plain.metrics.incremental_passes
+        assert injected.events == plain.events
+        assert injected.latches == plain.latches
 
     def test_non_simhook_rejected(self):
         with pytest.raises(DefinitionError, match="SimHook"):
@@ -77,35 +77,87 @@ class TestPerturbations:
         assert trace.terminated
         assert trace.step_count == 3
 
-    def test_poke_state_fast_naive_parity(self):
+    def test_poke_state_changes_next_step(self):
+        # gcd(48, 36): step 5 is s5_assign_a, where sub6 = reg_a - reg_b
+        # feeds reg_a; poking reg_a from 48 to 52 first makes it 16
         system, env = _gcd()
+        sub6 = PortId("sub6", "o")
 
         class Poke(SimHook):
+            def __init__(self, poke):
+                self.poke = poke
+                self.seen = {}
+
             def pre_step(self, sim, step, marking):
-                if step == 4:
+                if step == 5 and self.poke:
                     port = PortId("reg_a", "q")
                     sim.poke_state(port, sim.state_value(port) + 4)
                 return None
 
-        fast = simulate(system, env.fork(), hooks=[Poke()])
-        naive = simulate(system, env.fork(), hooks=[Poke()], fast=False)
-        assert fast == naive
-        assert fast.events == naive.events
+            def post_evaluate(self, sim, step, active, out_values):
+                self.seen[step] = out_values[sub6]
+
+        plain_hook, poked_hook = Poke(False), Poke(True)
+        plain = simulate(system, env.fork(), hooks=[plain_hook])
+        poked = simulate(system, env.fork(), hooks=[poked_hook])
+        assert plain_hook.seen[5] == 48 - 36
+        assert poked_hook.seen[5] == 52 - 36
+        reg_a = PortId("reg_a", "q")
+        assert [(latch.step, latch.new) for latch in poked.latches
+                if latch.port == reg_a][:2] == [(1, 48), (5, 16)]
+        # gcd(52, 36) = 4, not 12
+        assert [e.value for e in plain.events if e.arc == "a16"] == [12]
+        assert [e.value for e in poked.events if e.arc == "a16"] == [4]
 
     def test_poke_state_rejects_stateless_port(self):
         simulator = Simulator(relay_system(), Environment.of(x=[1]))
         with pytest.raises(DefinitionError, match="sequential state"):
             simulator.poke_state(PortId("x", "nope"), 1)
 
-    def test_stuck_at_forces_full_passes(self):
+    def test_stuck_at_rewrites_port_values(self):
+        # sub6 (reg_a - reg_b) stuck at 7 during step 5, s5_assign_a:
+        # reg_a latches 7 instead of 48 - 36, and gcd(7, 36) = 1
         system, env = _gcd()
         injector = FaultInjector(
-            [FaultSpec("stuck_at", "ne0.o", value=1, start=0, end=0)])
+            [FaultSpec("stuck_at", "sub6.o", value=7, start=5, end=5)])
         assert injector.perturbs_values
-        trace = Simulator(system, env.fork(), hooks=[injector]).run(
-            max_steps=100, on_limit="return")
-        assert trace.metrics.incremental_passes == 0
-        assert trace.metrics.full_passes == trace.step_count
+        seen = {}
+
+        class Spy(SimHook):
+            def post_evaluate(self, sim, step, active, out_values):
+                seen[step] = out_values[PortId("sub6", "o")]
+
+        trace = Simulator(system, env.fork(), hooks=[injector, Spy()]).run(
+            max_steps=500, on_limit="return")
+        assert seen[5] == 7
+        assert [(latch.step, latch.new) for latch in trace.latches
+                if latch.port == PortId("reg_a", "q")][:2] == [(1, 48), (5, 7)]
+        assert [e.value for e in trace.events if e.arc == "a16"] == [1]
+
+    @pytest.mark.parametrize("glitch_step", [8, 11])
+    def test_arc_glitch_applies_to_its_step_only(self, glitch_step):
+        # gcd(48, 36) visits s6_assign_b (reg_b = reg_b - reg_a) at steps
+        # 8 and 11.  Closing a14 (reg_a -> sub7.r) at one visit leaves
+        # sub7 undefined, so reg_b keeps its value and the loop takes one
+        # more s3/s4/s6 round: the result event moves from step 13 to 16.
+        # The other visits, with the same marking, must be unaffected.
+        system, env = _gcd()
+
+        class Glitch(SimHook):
+            def pre_step(self, sim, step, marking):
+                if step == glitch_step:
+                    return StepPerturbation(close_arcs=frozenset({"a14"}))
+                return None
+
+        trace = simulate(system, env.fork(), hooks=[Glitch()])
+        assert trace.terminated and trace.step_count == 17
+        assert [(e.arc, e.value, e.start, e.end) for e in trace.events] == [
+            ("a0", 48, 1, 1), ("a1", 36, 2, 2), ("a16", 12, 16, 16)]
+        after_first = 36 if glitch_step == 8 else 24
+        assert [(latch.step, latch.old, latch.new) for latch in trace.latches
+                if latch.port == PortId("reg_b", "q")] == [
+            (2, 0, 36), (8, 36, after_first), (11, after_first, 24),
+            (14, 24, 12)]
 
     def test_injection_window_respected(self):
         system, env = _gcd()

@@ -180,10 +180,19 @@ class TestCheckpointHook:
                 + _events(tail) == _events(full))
         assert tail.step_count == full.step_count
 
-    def test_hook_keeps_fast_path(self, tmp_path):
+    def test_hook_leaves_trace_identical(self, tmp_path):
         store = CheckpointStore(tmp_path, keep=16)
         hook = CheckpointHook(store, 5)
         assert not hook.perturbs_values
+        design = ZOO["gcd"]
+        hooked = Simulator(design.build(), design.environment(),
+                           hooks=[hook]).run()
+        plain = Simulator(design.build(), design.environment()).run()
+        assert hook.saved_steps
+        assert hooked == plain
+        assert hooked.events == plain.events
+        assert hooked.latches == plain.latches
+        assert hooked.final_state == plain.final_state
 
 
 # ---------------------------------------------------------------------------

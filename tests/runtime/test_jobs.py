@@ -1,5 +1,6 @@
 """Job specs: content-addressed keys, serialisation, the interpreter."""
 
+import hashlib
 import json
 
 import pytest
@@ -51,6 +52,27 @@ class TestKeys:
     def test_canonical_json_is_order_insensitive(self):
         assert canonical_json({"b": 1, "a": [2, 3]}) == \
             canonical_json({"a": [2, 3], "b": 1})
+
+    def test_simulate_key_is_pinned(self, zoo):
+        # the spec still carries "fast": true, so simulate jobs keep the
+        # keys (and cache entries) they had when it chose an evaluator
+        design, system = zoo["gcd"]
+        spec = simulate_job(system, design.environment())
+        assert spec.params["fast"] is True
+        assert spec.key == ("33b1c6ecb033621ab36e4f6b3c887edab1957f8090185"
+                            "fef574e0b50b8b63b7f")
+
+    def test_fast_false_job_runs_unchanged(self, zoo):
+        # a job file written with "fast": false still runs, and its
+        # payload is the same bytes as the default spec's
+        design, system = zoo["gcd"]
+        spec = simulate_job(system, design.environment())
+        old = JobSpec("simulate", spec.system, {**spec.params, "fast": False})
+        payload = canonical_json(execute_job(old.to_dict())["payload"])
+        assert payload == canonical_json(
+            execute_job(spec.to_dict())["payload"])
+        assert hashlib.sha256(payload.encode()).hexdigest() == (
+            "99681f0d7c73a30559623e0212459a7a5585a11b1adba7ea76e62f979b0aeb7f")
 
 
 class TestSpecs:

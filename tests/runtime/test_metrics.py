@@ -1,6 +1,7 @@
 """Fleet metrics aggregation."""
 
 import json
+from pathlib import Path
 
 from repro.runtime import (
     ExecutionEngine,
@@ -10,6 +11,8 @@ from repro.runtime import (
     simulate_job,
 )
 from repro.semantics.profile import SimMetrics
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 class TestAggregateSimMetrics:
@@ -27,18 +30,22 @@ class TestAggregateSimMetrics:
                                        SimMetrics(peak_marked_places=2)])
         assert total.peak_marked_places == 7
 
-    def test_cache_maps_merge(self):
-        a = SimMetrics(cache_hits={"x": 1}, cache_misses={"x": 2})
-        b = SimMetrics(cache_hits={"x": 2, "y": 5})
-        total = aggregate_sim_metrics([a, b])
-        assert total.cache_hits == {"x": 3, "y": 5}
-        assert total.cache_misses == {"x": 2}
-
-    def test_fast_path_is_conjunction(self):
-        fast = SimMetrics(fast_path=True)
-        slow = SimMetrics(fast_path=False)
-        assert aggregate_sim_metrics([fast, fast]).fast_path is True
-        assert aggregate_sim_metrics([fast, slow]).fast_path is False
+    def test_parent_format_records_still_load(self):
+        # records written before the interpreter had one evaluator carry
+        # fast_path, pass counters and cache maps: those keys are ignored
+        records = json.loads(
+            (FIXTURES / "parent-sim-metrics.json").read_text())
+        assert {"fast_path", "cache_hits", "incremental_passes"} <= set(
+            records[0])
+        restored = SimMetrics.from_dict(records[0])
+        assert restored.steps == records[0]["steps"]
+        assert restored.port_evaluations == records[0]["port_evaluations"]
+        assert "fast_path" not in restored.as_dict()
+        total = aggregate_sim_metrics([*records, SimMetrics(steps=1)])
+        assert total.steps == sum(r["steps"] for r in records) + 1
+        assert total.firings == sum(r["firings"] for r in records)
+        assert total.peak_marked_places == max(
+            r["peak_marked_places"] for r in records)
 
     def test_accepts_dict_records(self):
         total = aggregate_sim_metrics([SimMetrics(steps=1).as_dict(),
