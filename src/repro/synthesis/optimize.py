@@ -107,8 +107,7 @@ def _candidate_moves(system: DataControlSystem,
     """Candidate transformations at the current design point."""
     from ..transform.register_sharing import (
         RegisterMerger,
-        _plain_registers,
-        registers_interfere,
+        register_merge_candidates,
     )
 
     candidates: list[tuple[str, Transformation]] = []
@@ -118,17 +117,8 @@ def _candidate_moves(system: DataControlSystem,
             candidates.append(("compaction", RestructureBlock(block, layers)))
     for v_i, v_j in merger_candidates(system)[:max_mergers]:
         candidates.append(("sharing", VertexMerger(v_i, v_j)))
-    registers = _plain_registers(system)
-    found = 0
-    for i, r_1 in enumerate(registers):
-        if found >= max_mergers:
-            break
-        for r_2 in registers[i + 1:]:
-            if not registers_interfere(system, r_1, r_2).interferes:
-                candidates.append(("register-sharing",
-                                   RegisterMerger(r_1, r_2)))
-                found += 1
-                break
+    for r_1, r_2 in register_merge_candidates(system, limit=max_mergers):
+        candidates.append(("register-sharing", RegisterMerger(r_1, r_2)))
     return candidates
 
 

@@ -142,6 +142,22 @@ class TestInterpreter:
         assert semantically_equivalent(system, optimized,
                                        design.environment())
 
+    @pytest.mark.parametrize("name,digest", [
+        ("gcd",
+         "fdc2c816debab36553999136376b4013373d1cdb1c7f43c3d7bd68a78b09edb8"),
+        ("fir8",
+         "e30a9d1207f4a250992c839c48432fd24ffae34f0c3531a8eae2b8885c5bab4d"),
+    ])
+    def test_synthesize_payload_is_pinned(self, zoo, name, digest):
+        # greedy descent accepts register-sharing moves on both designs,
+        # so the candidate pairs and their order are in these bytes
+        _design, system = zoo[name]
+        out = execute_job(synthesize_job(system).to_dict())
+        kinds = {move["kind"] for move in out["payload"]["moves"]}
+        assert "register-sharing" in kinds
+        payload = canonical_json(out["payload"])
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
     def test_interpreter_is_deterministic(self, zoo):
         design, system = zoo["diffeq"]
         spec = synthesize_job(system, algorithm="random+greedy", seed=7)
