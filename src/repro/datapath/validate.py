@@ -153,6 +153,49 @@ def combinational_cycle(dp: DataPath, arc_names: Iterable[str]) -> list[str] | N
     return None
 
 
+def com_vertices(dp: DataPath) -> frozenset[str]:
+    """Names of the COM vertices: the set :func:`com_order` ranks.
+
+    It depends on the data path alone, so a simulator computes it once
+    and reuses it for every open-arc set.
+    """
+    return frozenset(v.name for v in dp.combinational_vertices())
+
+
+def com_order(dp: DataPath, com: frozenset[str],
+              arc_names: Iterable[str]) -> list[str]:
+    """Topological order of the COM vertices ``com`` under the active arcs.
+
+    Kahn's algorithm over the COM-to-COM edges.  Vertices left unranked
+    lie on a combinational loop; only then does :func:`combinational_cycle`
+    run, to name the loop in the :class:`~repro.errors.ValidationError`.
+    """
+    arc_list = list(arc_names)
+    indegree = dict.fromkeys(com, 0)
+    out_edges: dict[str, list[str]] = {}
+    for name in arc_list:
+        arc = dp.arc(name)
+        target, source = arc.target.vertex, arc.source.vertex
+        if target in com and source in com:
+            out_edges.setdefault(source, []).append(target)
+            indegree[target] += 1
+    ready = sorted(v for v, d in indegree.items() if d == 0)
+    order: list[str] = []
+    while ready:
+        node = ready.pop()
+        order.append(node)
+        for succ in out_edges.get(node, ()):
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                ready.append(succ)
+    if len(order) < len(com):
+        cycle = combinational_cycle(dp, arc_list)
+        raise ValidationError(
+            f"combinational loop among active vertices: {' -> '.join(cycle)}"
+        )
+    return order
+
+
 def topological_com_order(dp: DataPath, arc_names: Iterable[str]) -> list[str]:
     """Topological order of COM vertices under the given active arcs.
 
@@ -160,28 +203,4 @@ def topological_com_order(dp: DataPath, arc_names: Iterable[str]) -> list[str]:
     single pass.  Raises :class:`~repro.errors.ValidationError` when the
     active subgraph contains a combinational loop.
     """
-    arc_list = list(arc_names)
-    cycle = combinational_cycle(dp, arc_list)
-    if cycle is not None:
-        raise ValidationError(
-            f"combinational loop among active vertices: {' -> '.join(cycle)}"
-        )
-    com = {v.name for v in dp.vertices.values() if v.is_combinational}
-    indegree: dict[str, int] = {v: 0 for v in com}
-    out_edges: dict[str, list[str]] = {v: [] for v in com}
-    for name in arc_list:
-        arc = dp.arc(name)
-        if arc.target.vertex in com:
-            if arc.source.vertex in com:
-                out_edges[arc.source.vertex].append(arc.target.vertex)
-                indegree[arc.target.vertex] += 1
-    ready = sorted(v for v, d in indegree.items() if d == 0)
-    order: list[str] = []
-    while ready:
-        node = ready.pop()
-        order.append(node)
-        for succ in out_edges[node]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                ready.append(succ)
-    return order
+    return com_order(dp, com_vertices(dp), arc_names)

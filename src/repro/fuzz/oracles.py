@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Any, Callable
 
 from ..errors import ReproError, RuntimeFaultError
@@ -166,19 +167,29 @@ def _is_numpy_range_limit(outcome) -> bool:
 
 
 def trace_oracle(case: FuzzCase, *, max_steps: int = 256) -> OracleReport:
-    """Interpreter vs vector backend (scalar + numpy)."""
+    """Interpreter vs vector backend (scalar + numpy).
+
+    The four vector runs share one :class:`CompiledSystem`: its plans and
+    effects are pure functions of the marking, so sharing them changes no
+    trace, and the reference stays the independent interpreter.  The
+    compile happens inside each check's outcome scope, so a compile error
+    is reported by every check exactly as a per-check compile would be.
+    """
     from ..semantics.simulator import simulate
-    from ..semantics.vector import Lane, VectorSimulator
+    from ..semantics.vector import Lane, VectorSimulator, compile_system
 
     report = OracleReport()
     system, env, strict = case.system, case.environment, case.strict
+    # built on first use, inside that check's outcome scope; a compile
+    # that raises is not cached, so each later check raises it afresh
+    compiled = cache(lambda: compile_system(system))
 
     def interp():
         return simulate(system, env.fork(), strict=strict,
                         max_steps=max_steps, on_limit="return")
 
     def vector(mode: str):
-        sim = VectorSimulator(system, strict=strict, mode=mode)
+        sim = VectorSimulator(compiled(), strict=strict, mode=mode)
         result = sim.run([Lane(env.fork())], max_steps=max_steps,
                          on_limit="return")
         return result.trace(0)
@@ -190,7 +201,7 @@ def trace_oracle(case: FuzzCase, *, max_steps: int = 256) -> OracleReport:
         — never raised — and that siblings are unaffected, so every lane
         of an identical triple must reproduce the reference outcome.
         """
-        sim = VectorSimulator(system, strict=strict, mode=mode)
+        sim = VectorSimulator(compiled(), strict=strict, mode=mode)
         result = sim.run([Lane(env.fork()) for _ in range(3)],
                          max_steps=max_steps, on_limit="return",
                          capture_errors=True)

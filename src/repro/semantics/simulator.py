@@ -84,7 +84,7 @@ from ..core.events import ExternalEvent
 from ..core.system import DataControlSystem
 from ..datapath.operations import OpKind
 from ..datapath.ports import PortId
-from ..datapath.validate import topological_com_order
+from ..datapath.validate import com_order, com_vertices
 from ..errors import DefinitionError, ExecutionError, RuntimeFaultError, ValidationError
 from ..petri.execution import fire_step, is_enabled
 from ..petri.marking import Marking
@@ -269,6 +269,7 @@ class Simulator:
         self._vector_sim = None  # lazy per-Simulator compiled backend
         self._dp = self.system.datapath
         self._net = self.system.net
+        self._com = com_vertices(self._dp)
         # initial sequential state: SEQ ports from vertex init; INPUT 'out'
         # ports and OUTPUT 'snk' record ports start undefined
         self._state: dict[PortId, Value] = {}
@@ -360,7 +361,7 @@ class Simulator:
         source_of = {port: next(iter(srcs)) if len(srcs) == 1 else None
                      for port, srcs in sources.items()}
         try:
-            order = topological_com_order(dp, active)
+            order = com_order(dp, self._com, active)
         except ValidationError as error:
             # only an injected arc glitch can close a loop at runtime:
             # statically looping systems fail validation long before

@@ -2,7 +2,7 @@
 
 The interpreter in :mod:`repro.semantics.simulator` walks the
 ``DataControlSystem`` object graph on every step — dict lookups for
-arcs, ports, operations, activations.  ROADMAP item 2 asks for the
+arcs, ports, operations, activations.  This module makes the
 dataflow-accelerator move instead: **compile the graph, batch the
 execution**.  :class:`CompiledSystem` lowers a system once into flat
 numeric form —
@@ -13,10 +13,11 @@ numeric form —
   state, input pads, output records, combinational outputs), with
   slot 0 permanently :data:`~repro.semantics.values.UNDEF`,
 * per reachable marking, a :class:`_Plan`: the open-arc set resolved to
-  a straight-line *tape* of register-to-register instructions in the
-  precomputed COM topological order, the drive-conflict verdict, guard
-  registers per enabled transition, choice-conflict candidates, and the
-  latch/event recipe for every departing place,
+  one straight-line list of register-to-register instructions in COM
+  topological order (each engine builds its *tape* from that list), the
+  drive-conflict verdict, guard registers per enabled transition,
+  choice-conflict candidates, and the latch/event recipe for every
+  departing place,
 * per ``(plan, guard bits)``, memoized *effects*: the chosen step, the
   next marking (hence next plan), activation openings and environment
   draws — so a loop's steady state replays from a dict hit.
@@ -66,7 +67,7 @@ from ..core.events import ExternalEvent
 from ..core.system import DataControlSystem
 from ..datapath.operations import OpKind, Operation
 from ..datapath.ports import PortId
-from ..datapath.validate import topological_com_order
+from ..datapath.validate import com_order, com_vertices
 from ..errors import DefinitionError, ExecutionError, ReproError, RuntimeFaultError, ValidationError
 from ..petri.marking import Marking
 from .environment import Environment
@@ -430,7 +431,7 @@ class _Plan:
     """Everything one marking determines, compiled to register indices."""
 
     __slots__ = ("marking", "marked_sorted", "empty", "active",
-                 "conflict_details", "comb_error", "tape", "vec",
+                 "conflict_details", "comb_error", "instrs", "tape", "vec",
                  "enabled", "enabled_index", "sorted_enabled", "guard_regs",
                  "guard_weights", "candidates", "completions", "effects",
                  "pid")
@@ -465,7 +466,9 @@ class CompiledSystem:
     ``_state`` insertion order, then the combinational output ports.
     ``pre`` / ``post`` are dense ``(T, P)`` int64 incidence matrices.
     Plans are compiled per reachable marking on first visit and shared
-    by every lane and every run of this compiled system.
+    by every lane, run and engine of this compiled system: a plan's
+    ``(op, out, args)`` instruction list is derived once, and both the
+    scalar tape and the lazily built numpy tape come from it.
     """
 
     def __init__(self, system: DataControlSystem) -> None:
@@ -501,8 +504,9 @@ class CompiledSystem:
         # changes, so it lives in the initial register image instead of
         # being recomputed by every plan's tape on every step
         self.const_regs: set[int] = set()
+        self._com = com_vertices(dp)
         for vertex in dp.vertices.values():
-            if not vertex.is_combinational:
+            if vertex.name not in self._com:
                 continue
             inputs = vertex.input_ids()
             for port in vertex.out_ports:
@@ -591,11 +595,12 @@ class CompiledSystem:
         )
         plan.conflict_details = tuple(detail for _port, detail in entries)
         conflicted = frozenset(port for port, _ in entries)
-        # COM topological order -> instruction tape
+        # COM topological order -> one (op, out, args) instruction list,
+        # from which both engines' tapes are built
         plan.comb_error = None
-        tape = []
+        instrs = []
         try:
-            order = topological_com_order(dp, active)
+            order = com_order(dp, self._com, active)
         except ValidationError as error:
             plan.comb_error = str(error)
             order = []
@@ -607,9 +612,9 @@ class CompiledSystem:
                 out = self.reg_of[PortId(name, port)]
                 if out in self.const_regs:
                     continue  # hoisted into the initial register image
-                tape.append(_scalar_instruction(
-                    vertex.operation(port), out, args))
-        plan.tape = tape
+                instrs.append((vertex.operation(port), out, args))
+        plan.instrs = tuple(instrs)
+        plan.tape = [_scalar_instruction(*instr) for instr in instrs]
         plan.vec = None
         # token game: enabled transitions in insertion order
         plan.enabled = tuple(t for t in self.transitions
@@ -667,34 +672,9 @@ class CompiledSystem:
         return plan
 
     def vec_tape(self, plan: _Plan):
-        """The numpy tape for a plan (compiled lazily on first group)."""
+        """The numpy tape for a plan (built lazily on first group)."""
         if plan.vec is None:
-            dp = self.system.datapath
-            conflicted = frozenset()  # baked into the scalar tape already
-            vec = []
-            try:
-                order = topological_com_order(dp, plan.active)
-            except ValidationError:
-                order = []
-            # recompute conflicted ports: the scalar compile already did,
-            # but the resolve step needs them again for argument registers
-            drivers: dict[PortId, set[PortId]] = {}
-            for name in plan.active:
-                arc = dp.arc(name)
-                drivers.setdefault(arc.target, set()).add(arc.source)
-            conflicted = frozenset(p for p, s in drivers.items()
-                                   if len(s) > 1)
-            for name in order:
-                vertex = dp.vertex(name)
-                args = tuple(self._resolve_reg(p, plan.active, conflicted)
-                             for p in vertex.input_ids())
-                for port in vertex.out_ports:
-                    out = self.reg_of[PortId(name, port)]
-                    if out in self.const_regs:
-                        continue  # hoisted into the initial register image
-                    vec.append(_vector_instruction(
-                        vertex.operation(port), out, args))
-            plan.vec = vec
+            plan.vec = [_vector_instruction(*instr) for instr in plan.instrs]
         return plan.vec
 
     # -- chosen-step emulation ------------------------------------------
@@ -1323,7 +1303,7 @@ class VectorSimulator:
                             subgroups = tuple(
                                 (int(b), sel[bits_arr == b], None)
                                 for b in np.unique(bits_arr))
-                    else:  # pragma: no cover - >62 concurrent transitions
+                    else:  # > 62 enabled: bits exceed the int64 weights
                         cols, inverse = np.unique(guard, axis=1,
                                                   return_inverse=True)
                         subgroups = []

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import DataControlSystem
+from repro.datapath import DataPath, input_pad, register
 from repro.designs import all_designs, get_design
 from repro.errors import DefinitionError, ExecutionError
+from repro.petri import PetriNet
 from repro.semantics import (
     Environment,
     FixedOrderPolicy,
@@ -110,6 +113,55 @@ class TestBatchShapes:
         first = VectorSimulator(compiled).run([Lane(design.environment())])
         second = VectorSimulator(compiled).run([Lane(design.environment())])
         assert traces_equivalent(first.trace(0), second.trace(0))
+
+
+def _wide_fork_system(width: int, guarded: bool):
+    """One read state forking into ``width`` places, each left by its own
+    transition: ``width`` transitions are enabled at once.  When
+    ``guarded``, every other one is guarded by the latched input, so
+    lanes with zero and non-zero inputs get different guard bits."""
+    dp = DataPath(name="wide")
+    dp.add_vertex(input_pad("x"))
+    dp.add_vertex(register("r"))
+    dp.connect("x.out", "r.d", name="a_read")
+    net = PetriNet(name="wide")
+    net.add_place("s_read", marked=True)
+    net.add_transition("t_fork")
+    net.add_arc("s_read", "t_fork")
+    for i in range(width):
+        net.add_place(f"p{i}")
+        net.add_arc("t_fork", f"p{i}")
+        net.add_transition(f"u{i}")
+        net.add_arc(f"p{i}", f"u{i}")
+    system = DataControlSystem(dp, net, name="wide")
+    system.set_control("s_read", ["a_read"])
+    if guarded:
+        for i in range(0, width, 2):
+            system.set_guard(f"u{i}", ["r.q"])
+    return system
+
+
+class TestWideFork:
+    """More than 62 enabled transitions: guard bits no longer fit the
+    int64 weight vector, so the numpy engine groups lanes by unique
+    guard columns instead."""
+
+    @pytest.mark.parametrize("guarded", [False, True])
+    def test_numpy_lanes_match_interpreter(self, guarded):
+        system = _wide_fork_system(70, guarded)
+        inputs = [0, 3, 0, 5]
+        compiled = compile_system(system)
+        result = VectorSimulator(compiled, strict=False, mode="numpy").run(
+            [Lane(Environment.of(x=[v])) for v in inputs])
+        assert max(len(p.enabled) for p in compiled.plan_registry) == 70
+        outcomes = set()
+        for i, v in enumerate(inputs):
+            ref = simulate(system, Environment.of(x=[v]), strict=False)
+            assert traces_equivalent(result.trace(i), ref), v
+            outcomes.add((ref.terminated, ref.deadlocked))
+        # guarded: zero inputs deadlock on the false guards
+        assert outcomes == ({(True, False), (False, True)} if guarded
+                            else {(True, False)})
 
 
 class TestCheckpoints:
