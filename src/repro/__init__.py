@@ -97,7 +97,6 @@ from .runtime import (
     ResultCache,
     check_job,
     equiv_job,
-    equivalence_job,
     lint_job,
     load_job_file,
     probe_job,
@@ -149,7 +148,7 @@ __all__ = [
     # batch runtime
     "ExecutionEngine", "BatchResult", "JobSpec", "JobResult", "ResultCache",
     "FleetMetrics", "simulate_job", "check_job", "lint_job", "reachability_job",
-    "equivalence_job", "equiv_job", "synthesize_job", "probe_job", "load_job_file",
+    "equiv_job", "synthesize_job", "probe_job", "load_job_file",
     "write_job_file",
     # errors
     "ReproError", "DefinitionError", "ValidationError", "ExecutionError",

@@ -23,19 +23,18 @@ Commands
     compiled vector backend (:mod:`repro.semantics.vector`) instead of
     the interpreter — same trace, compiled execution.
 ``faults DESIGN [--fault SPEC]… [--faults-file PATH] [--auto N]
-[--seed N] [--format text|json] [--output PATH] [--checkpoint PATH]
-[--journal PATH] [--resume] [--backend interpreter|vector]``
+[--seed N] [--format text|json] [--output PATH] [--journal PATH]
+[--resume]``
     Run a fault-injection campaign (:mod:`repro.faults`): each fault is
     injected into its own run with the runtime Definition 3.2 monitors
     attached, and the report classifies every fault as masked /
     detected / silent against the golden run's external event
-    structure.  ``--journal`` fsyncs every verdict as it settles;
-    ``--resume`` restarts a killed campaign without re-running journaled
-    faults.  ``--backend vector`` fans the campaign as vectorised
-    16-fault batches sharing each golden run (identical verdicts and
-    journal records).  Exits 0 when every fault was masked or detected, 1 on a
-    silent deviation, 2 on usage or infrastructure errors, 130 when
-    interrupted.
+    structure.  The faults run in ``vecbatch`` chunks that share one
+    golden run each.  ``--journal`` fsyncs every verdict as its chunk
+    settles; ``--resume`` restarts a killed campaign without re-running
+    journaled faults.  Exits 0 when every fault was masked or detected,
+    1 on a silent deviation, 2 on usage or infrastructure errors, 130
+    when interrupted.
 ``synthesize DESIGN [--w-time F] [--w-area F] [--limit op=N]… ``
     Run the CAMAD-style optimizer and report the before/after metrics.
 ``dot DESIGN [--view datapath|petri|system]``
@@ -355,10 +354,8 @@ def cmd_faults(args: argparse.Namespace) -> int:
     with _make_engine(args) as engine, GracefulShutdown() as shutdown:
         report = run_campaign(
             system, faults, env, engine=engine, seed=args.seed,
-            max_steps=args.max_steps, checkpoint_path=args.checkpoint,
-            journal_path=args.journal, resume=args.resume,
-            stop_event=shutdown.stop_event, backend=args.backend,
-            chunk_size=args.chunk_size)
+            max_steps=args.max_steps, journal_path=args.journal,
+            resume=args.resume, stop_event=shutdown.stop_event)
     interrupted = shutdown.stop_event.is_set()
     if args.format == "json":
         _write_json(args.output or "-",
@@ -919,18 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_faults.add_argument("--output", metavar="PATH",
                           help="write the JSON report here "
                                "('-' for stdout)")
-    p_faults.add_argument("--checkpoint", metavar="PATH",
-                          help="resumable report file: completed faults "
-                               "are not re-run")
-    p_faults.add_argument("--backend", choices=("interpreter", "vector"),
-                          default="interpreter",
-                          help="campaign backend: one job per fault, or "
-                               "vectorised fault batches sharing each "
-                               "golden run (identical verdicts)")
-    p_faults.add_argument("--chunk-size", type=int, default=16, metavar="N",
-                          help="faults per vecbatch job under --backend "
-                               "vector (default 16; never changes verdicts "
-                               "or journal keys)")
     _add_engine_options(p_faults)
     p_faults.set_defaults(func=cmd_faults)
 

@@ -1,10 +1,10 @@
 """Fault campaigns — fan faults across the batch engine, judge each run.
 
 One campaign takes a system, its environment, and a fault list, and
-answers for every fault: *did the hardware notice?*  Each fault becomes
-one self-contained, content-addressed ``faults`` job
-(:func:`repro.runtime.jobs.faults_job`); the worker replays the
-**golden** (fault-free) run, replays the faulty run with the
+answers for every fault: *did the hardware notice?*  The faults travel
+in ``vecbatch`` chunks (:func:`repro.runtime.jobs.vecbatch_faults_job`);
+a worker computes the **golden** (fault-free) run once per chunk, then
+replays each faulty run with the
 :class:`~repro.faults.inject.FaultInjector` and the standard
 :mod:`~repro.faults.monitors` stack attached, and classifies:
 
@@ -20,23 +20,28 @@ one self-contained, content-addressed ``faults`` job
     no monitor fired but the observable behaviour deviated — the
     dangerous case the report exists to surface.
 
+A chunk is one job to the engine: its timeout (``repro faults
+--timeout``) and retries apply per chunk, and a chunk that fails
+reports ``error`` for each of its faults.
+
 Campaign-level reproducibility: the campaign ``seed`` derives every
 per-fault RNG (:func:`~repro.faults.spec.derive_seed`) and seeds the
 firing policy (:class:`~repro.semantics.policies.SeededMaximalPolicy`)
 of golden and faulty runs alike, so the same ``(system, faults,
-environment, seed)`` always produces the same report — including across
-interruption: :func:`run_campaign` can write every verdict to a
-fsynced write-ahead journal (``journal_path=``) the moment the job
-settles, and a killed campaign restarted with ``resume=True`` skips
-every journaled fault — the final report is identical to an
-uninterrupted run.  The coarser report-file checkpoint
-(``checkpoint_path=``) is still supported.
+environment, seed)`` always produces the same report, however the
+faults are chunked — including across interruption:
+:func:`run_campaign` can write every verdict, under its per-fault
+content-addressed key, to a fsynced write-ahead journal
+(``journal_path=``) the moment its chunk settles, and a killed campaign
+restarted with ``resume=True`` skips every journaled fault — the final
+report is identical to an uninterrupted run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -54,6 +59,13 @@ from .spec import FaultSpec, resolve_seeds
 VERDICTS = ("masked", "detected", "silent", "error")
 
 CAMPAIGN_REPORT_FORMAT = 1
+
+#: Most faults in one ``vecbatch`` chunk.  A chunk's verdicts are
+#: journaled only when the whole chunk settles, so a SIGKILL loses at
+#: most one chunk of verdicts per worker; the cap bounds that loss on
+#: long campaigns, while the golden run is still shared by up to 16
+#: faults.
+MAX_CHUNK_FAULTS = 16
 
 
 def _json_value(value) -> int | str:
@@ -116,8 +128,8 @@ def run_single_fault(system, fault: FaultSpec,
 
     Self-contained by design: the golden run is recomputed here rather
     than shipped in, so the payload is a pure function of ``(system,
-    fault, environment, max_steps, campaign_seed)`` — exactly what the
-    content-addressed job cache needs.
+    fault, environment, max_steps, campaign_seed)`` — the reference each
+    entry of a campaign's ``vecbatch`` chunks must equal.
 
     ``_golden`` is a memoization hand-off for batch runners (the
     ``vecbatch`` job kind): a golden :class:`~repro.semantics.trace.
@@ -299,75 +311,49 @@ def _campaign_header(system_name: str, seed: int,
 def run_campaign(system, faults: Sequence[FaultSpec],
                  environment: Environment | None = None, *,
                  engine=None, seed: int = 0, max_steps: int = 10_000,
-                 checkpoint_path: str | None = None,
                  journal_path: str | None = None, resume: bool = False,
                  limit: int | None = None,
-                 stop_event=None,
-                 backend: str = "interpreter",
-                 chunk_size: int = 16) -> CampaignReport:
+                 stop_event=None) -> CampaignReport:
     """Fan a fault list across the batch engine and aggregate the verdicts.
 
     ``engine`` is a :class:`~repro.runtime.executor.ExecutionEngine` (a
-    serial one is created when omitted).
-
-    ``backend="vector"`` fans the same campaign as a handful of
-    ``vecbatch`` jobs (``chunk_size`` faults each, default 16) instead
-    of one job per fault: each chunk shares one golden run (computed
-    through the compiled vector backend) across its faults.  Verdicts,
-    journal records, and the final report are identical to the
-    per-fault backend — including the per-fault content-addressed
-    ``key`` entries, so a journal written by one backend resumes
-    seamlessly under the other.  ``chunk_size`` is a pure
-    throughput/latency trade (bigger chunks amortise the golden run
-    over more faults, smaller chunks parallelise and settle sooner);
-    it never changes verdicts or journal keys.
+    serial one is created when omitted).  The faults still to run are
+    split into ``vecbatch`` chunks of ``ceil(pending / workers)`` faults,
+    at most :data:`MAX_CHUNK_FAULTS`, so every worker gets work and each
+    chunk computes its golden run once.  The engine's ``timeout`` and
+    retry budget apply per chunk: a chunk that fails reports ``error``
+    for each of its faults.  Verdicts do not depend on the chunking.
 
     ``journal_path`` attaches a write-ahead journal
     (:class:`~repro.runtime.durable.Journal`): a header record pins the
-    run configuration, then every fault verdict is fsynced the moment
-    its job settles — so even a SIGKILL loses at most the in-flight
-    jobs.  With ``resume=True`` the journal is scanned first (torn tails
-    are repaired, a configuration mismatch raises
-    :class:`~repro.errors.PersistenceError`) and journaled faults are
-    not re-dispatched: a killed campaign restarted with the same
-    arguments produces the same final report as an uninterrupted one.
+    run configuration, then every fault verdict is fsynced under its
+    per-fault key the moment its chunk settles.  With ``resume=True``
+    the journal is scanned first (torn tails are repaired, a
+    configuration mismatch raises :class:`~repro.errors.PersistenceError`)
+    and journaled faults are not re-dispatched: a killed campaign
+    restarted with the same arguments produces the same final report as
+    an uninterrupted one.
 
-    ``checkpoint_path`` is the coarser legacy mechanism — the full
-    report JSON is (re)written there after the batch and previously
-    reported keys are skipped on the next call.  ``limit`` caps how many
-    *new* jobs run in this call (the deterministic way to interrupt
-    mid-campaign); ``stop_event`` requests a graceful stop between jobs.
-    The returned report has ``complete=False`` while results are
-    missing.
+    ``limit`` caps how many *new* faults run in this call (the
+    deterministic way to interrupt mid-campaign); ``stop_event`` requests
+    a graceful stop between chunks.  The returned report has
+    ``complete=False`` while results are missing.
     """
-    import os
-
     from ..errors import PersistenceError
     from ..runtime.durable import Journal, read_journal
     from ..runtime.executor import ExecutionEngine
-    from ..runtime.jobs import faults_job, vecbatch_faults_job
+    from ..runtime.jobs import vecbatch_faults_job
 
-    if backend not in ("interpreter", "vector"):
-        raise DefinitionError(
-            f"unknown campaign backend {backend!r}; choose 'interpreter' "
-            "or 'vector'")
-    if chunk_size < 1:
-        raise DefinitionError(
-            f"chunk_size must be >= 1, got {chunk_size}")
     specs = resolve_seeds(list(faults), seed)
-    for spec in specs:
-        spec.validate(system)
-    jobs = [faults_job(system, spec, environment, max_steps=max_steps,
-                       campaign_seed=seed, label=spec.describe())
-            for spec in specs]
+
+    def chunk_job(chunk: Sequence[FaultSpec]):
+        return vecbatch_faults_job(system, chunk, environment,
+                                   campaign_seed=seed, max_steps=max_steps)
+
+    # validates every fault and yields its per-fault key, in order
+    keys = [entry["key"] for entry in chunk_job(specs).params["entries"]]
 
     prior: dict[str, dict[str, Any]] = {}
-    if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        with open(checkpoint_path, "r", encoding="utf-8") as handle:
-            saved = CampaignReport.from_dict(json.load(handle))
-        prior = {result["key"]: result for result in saved.results
-                 if "key" in result}
-
     journal: Journal | None = None
     header = _campaign_header(system.name, seed, max_steps)
     if journal_path is not None:
@@ -390,85 +376,52 @@ def run_campaign(system, faults: Sequence[FaultSpec],
         if not saw_header:
             journal.append(header)
 
-    pending_pairs = [(spec, job) for spec, job in zip(specs, jobs)
-                     if job.key not in prior]
+    pending = [spec for spec, key in zip(specs, keys) if key not in prior]
     if limit is not None:
-        pending_pairs = pending_pairs[:limit]
-    if backend == "vector":
-        # a handful of vectorised batches instead of one job per fault
-        chunk = chunk_size
-        pending = [
-            vecbatch_faults_job(
-                system, [spec for spec, _job in pending_pairs[i:i + chunk]],
-                environment, campaign_seed=seed, max_steps=max_steps)
-            for i in range(0, len(pending_pairs), chunk)
-        ]
-    else:
-        pending = [job for _spec, job in pending_pairs]
+        pending = pending[:limit]
+    workers = engine.workers if engine is not None else 0
+    size = max(1, min(MAX_CHUNK_FAULTS,
+                      math.ceil(len(pending) / max(workers, 1))))
+    chunks = [chunk_job(pending[i:i + size])
+              for i in range(0, len(pending), size)]
     fresh: dict[str, dict[str, Any]] = {}
 
-    def record(key: str, entry: dict[str, Any]) -> None:
-        fresh[key] = entry
-        if journal is not None:
-            journal.append({"type": "verdict", "key": key, "entry": entry})
-
     def settle(result) -> None:
-        """Fold one finished job in and journal its verdict immediately."""
+        """Fold one finished chunk in and journal its verdicts at once."""
         if result.status == "interrupted":
-            return  # not a verdict — the job simply never ran
-        if result.spec.kind == "vecbatch":
-            # one chunk settles many faults, each under its classic
-            # per-fault key (journal interop with the per-fault backend)
-            if result.ok:
-                for entry in result.payload["entries"]:
-                    record(entry["key"], entry)
-            else:
-                for item in result.spec.params["entries"]:
-                    record(item["key"], {
-                        "key": item["key"],
-                        "fault": item["fault"],
-                        "label": item["label"],
-                        "verdict": "error",
-                        "error": result.error,
-                    })
-            return
-        key = result.spec.key
+            return  # not a verdict — the chunk simply never ran
         if result.ok:
-            entry = dict(result.payload, key=key)
+            entries = result.payload["entries"]
         else:
-            entry = {
-                "key": key,
-                "fault": result.spec.params["fault"],
-                "label": result.spec.label,
-                "verdict": "error",
-                "error": result.error,
-            }
-        record(key, entry)
+            entries = [{"key": item["key"], "fault": item["fault"],
+                        "label": item["label"], "verdict": "error",
+                        "error": result.error}
+                       for item in result.spec.params["entries"]]
+        for entry in entries:
+            fresh[entry["key"]] = entry
+            if journal is not None:
+                journal.append({"type": "verdict", "key": entry["key"],
+                                "entry": entry})
 
     try:
-        if pending:
+        if chunks:
             if engine is None:
                 with ExecutionEngine() as own:
-                    own.run(pending, on_result=settle, stop_event=stop_event)
+                    own.run(chunks, on_result=settle, stop_event=stop_event)
             else:
-                engine.run(pending, on_result=settle, stop_event=stop_event)
+                engine.run(chunks, on_result=settle, stop_event=stop_event)
     finally:
         if journal is not None:
             journal.close()
 
     results = []
     complete = True
-    for job in jobs:
-        entry = prior.get(job.key) or fresh.get(job.key)
+    for key in keys:
+        entry = prior.get(key) or fresh.get(key)
         if entry is None:
             complete = False
             continue
         results.append(entry)
-    report = CampaignReport(system=system.name, seed=seed,
-                            max_steps=max_steps, results=results,
-                            complete=complete)
-    if checkpoint_path is not None:
-        with open(checkpoint_path, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return report
+    return CampaignReport(system=system.name, seed=seed,
+                          max_steps=max_steps, results=results,
+                          complete=complete)

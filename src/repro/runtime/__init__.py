@@ -72,9 +72,7 @@ from .jobs import (
     check_job,
     lint_job,
     equiv_job,
-    equivalence_job,
     execute_job,
-    faults_job,
     fuzz_job,
     job_key,
     load_job_file,
@@ -116,9 +114,7 @@ __all__ = [
     "lint_job",
     "reachability_job",
     "equiv_job",
-    "equivalence_job",
     "synthesize_job",
-    "faults_job",
     "vecbatch_simulate_job",
     "vecbatch_faults_job",
     "probe_job",

@@ -372,17 +372,31 @@ class ExecutionEngine:
         def stopped() -> bool:
             return stop_event is not None and stop_event.is_set()
 
-        def submit(task: _Task) -> bool:
+        def submit(task: _Task, queue: deque[_Task]) -> bool:
+            """Dispatch one attempt of ``task``, just popped from ``queue``.
+
+            Returns False, with ``task`` back at the front of ``queue``,
+            when no pool can be started.  A worker that died after the
+            last wait makes the pool refuse the dispatch: ``task`` goes
+            back the same way, uncharged, and the crash is handled as the
+            wait loop handles it.
+            """
             pool = self._ensure_pool()
             if pool is None:
+                queue.appendleft(task)
                 return False
+            try:
+                future = pool.submit(_worker_run, task.spec.to_dict())
+            except BrokenExecutor:
+                queue.appendleft(task)
+                pool_broke()
+                return True
             now = monotonic()
             task.attempts += 1
             task.queue_seconds += max(now - max(task.ready_since,
                                                 task.not_before), 0.0)
             self._journal_dispatch(task)
-            inflight[pool.submit(_worker_run, task.spec.to_dict())] = (task,
-                                                                       now)
+            inflight[future] = (task, now)
             return True
 
         def requeue(task: _Task, *, delay: float = 0.0,
@@ -423,6 +437,12 @@ class ExecutionEngine:
                     task.attempts -= 1
                     requeue(task)
 
+        def pool_broke() -> None:
+            """A worker died: every in-flight attempt is a crash suspect."""
+            interrupted = [task for task, _ in inflight.values()]
+            inflight.clear()
+            reset_pool(interrupted, crashed=True)
+
         while (pending or suspects or inflight) and not pool_dead:
             if stopped():
                 break
@@ -431,9 +451,7 @@ class ExecutionEngine:
             if suspects:
                 if not inflight:
                     if suspects[0].not_before <= now:
-                        task = suspects.popleft()
-                        if not submit(task):
-                            suspects.appendleft(task)
+                        if not submit(suspects.popleft(), suspects):
                             pool_dead = True
                             continue
                     else:
@@ -445,8 +463,7 @@ class ExecutionEngine:
                     task = self._pop_ready(pending, now)
                     if task is None:
                         break
-                    if not submit(task):
-                        pending.appendleft(task)
+                    if not submit(task, pending):
                         pool_dead = True
                         break
                 if pool_dead:
@@ -479,9 +496,7 @@ class ExecutionEngine:
                 else:
                     settle_failure(task, out["error"])
             if broken:
-                interrupted = [task for task, _ in inflight.values()]
-                inflight.clear()
-                reset_pool(interrupted, crashed=True)
+                pool_broke()
                 continue
 
             if self.timeout is not None and inflight:

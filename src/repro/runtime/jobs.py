@@ -17,6 +17,11 @@ deterministic and JSON-safe, and any wall-clock observability
 (:class:`~repro.semantics.profile.SimMetrics`) is returned *beside* the
 payload so cached and fresh results stay byte-comparable.
 
+A fault campaign is a handful of ``vecbatch`` jobs in ``faults`` mode
+(:func:`vecbatch_faults_job`): each is a chunk of faults sharing one
+golden run, and each of its entries carries its own per-fault key, so
+reports and journals address verdicts one fault at a time.
+
 The extra ``probe`` kind is a fault-injection aid for tests and
 benchmarks: it can succeed, fail, fail transiently, sleep past a
 timeout, or kill its own worker process outright.
@@ -33,9 +38,10 @@ from typing import Any, Mapping, Sequence
 from ..errors import DefinitionError, ExecutionError
 
 #: The workload kinds the engine understands.  ``probe`` is the
-#: fault-injection aid; the other six are the library's real workloads.
-JOB_KINDS = ("simulate", "check", "reachability", "equivalence", "equiv",
-             "synthesize", "lint", "faults", "vecbatch", "fuzz", "probe")
+#: fault-injection aid; the other eight are the library's real workloads.
+#: Fault campaigns run as ``vecbatch`` jobs in ``faults`` mode.
+JOB_KINDS = ("simulate", "check", "reachability", "equiv", "synthesize",
+             "lint", "vecbatch", "fuzz", "probe")
 
 #: Bumped whenever the payload format of any kind changes, so stale
 #: cache entries from an older engine can never be confused for current
@@ -211,26 +217,15 @@ def reachability_job(system, *, max_markings: int = 100_000,
     }, label=label)
 
 
-def equivalence_job(system, other, environment=None, *,
-                    max_steps: int = 10_000, label: str = "") -> JobSpec:
-    """Bounded semantic-equivalence check of two systems (Def. 4.1)."""
-    return JobSpec("equivalence", _system_dict(system), {
-        "other": _system_dict(other),
-        "environment": _environment_to_dict(environment),
-        "max_steps": max_steps,
-    }, label=label)
-
-
 def equiv_job(system, other, environment=None, *,
               max_steps: int = 10_000, backend: str = "symbolic",
               label: str = "") -> JobSpec:
-    """Backend-selectable equivalence check with a replayable witness.
+    """Bounded semantic-equivalence check of two systems (Def. 4.1).
 
-    The scalable successor of :func:`equivalence_job`: the payload
-    carries the distinguishing firing sequences on an inequivalence
-    verdict, and ``backend`` picks the engine (``"symbolic"`` — the
-    static/vectorised path — by default, ``"explicit"`` as the
-    differential oracle).  The backend participates in the job key:
+    The payload carries the distinguishing firing sequences on an
+    inequivalence verdict, and ``backend`` picks the engine
+    (``"symbolic"`` — the static/vectorised path — by default,
+    ``"explicit"`` as the differential oracle).  The backend participates in the job key:
     verdicts from different engines are cached independently so the
     differential tests can compare them.
     """
@@ -264,24 +259,6 @@ def synthesize_job(system, objective=None, *, algorithm: str = "greedy",
     }, label=label)
 
 
-def faults_job(system, fault, environment=None, *, max_steps: int = 10_000,
-               campaign_seed: int = 0, label: str = "") -> JobSpec:
-    """One fault-injection experiment (golden run, faulty run, verdict).
-
-    ``fault`` is a :class:`~repro.faults.spec.FaultSpec`; it is validated
-    against ``system`` eagerly so a typo'd target fails at submission
-    time, not inside a worker.  The payload is produced by
-    :func:`repro.faults.campaign.run_single_fault`.
-    """
-    fault.validate(system)
-    return JobSpec("faults", _system_dict(system), {
-        "fault": fault.to_dict(),
-        "environment": _environment_to_dict(environment),
-        "max_steps": max_steps,
-        "campaign_seed": campaign_seed,
-    }, label=label or fault.describe())
-
-
 def vecbatch_simulate_job(system, environments, *,
                           max_steps: int = 10_000, strict: bool = True,
                           on_limit: str = "raise",
@@ -308,12 +285,10 @@ def vecbatch_faults_job(system, faults, environment=None, *,
                         label: str = "") -> JobSpec:
     """A chunk of fault experiments sharing one golden run.
 
-    Each entry embeds the content-addressed key of the **classic
-    per-fault job** (:func:`faults_job` with the same system,
-    environment, budget, and seed), so campaign checkpoints and journals
-    written by the vecbatch backend are interchangeable with per-fault
-    runs: a verdict settled here can satisfy a resumed per-fault
-    campaign and vice versa.
+    This is how :func:`repro.faults.campaign.run_campaign` runs every
+    fault.  Each entry's payload equals
+    :func:`repro.faults.campaign.run_single_fault` for its fault, plus
+    the fault's per-fault ``key``.
     """
     sysdict = _system_dict(system)
     envdict = _environment_to_dict(environment)
@@ -322,6 +297,10 @@ def vecbatch_faults_job(system, faults, environment=None, *,
         fault.validate(system)
         entries.append({
             "fault": fault.to_dict(),
+            # A fault's identity in campaign reports, journals and caches;
+            # it is the key the retired one-job-per-fault kind "faults"
+            # gave the same experiment, so it must not change: older
+            # journals resume on it.
             "key": job_key("faults", sysdict, {
                 "fault": fault.to_dict(),
                 "environment": envdict,
@@ -428,14 +407,10 @@ def execute_job(spec: Mapping[str, Any]) -> dict[str, Any]:
         return _run_lint(system, params)
     if kind == "reachability":
         return _run_reachability(system, params)
-    if kind == "equivalence":
-        return _run_equivalence(system, params)
     if kind == "equiv":
         return _run_equiv(system, params)
     if kind == "synthesize":
         return _run_synthesize(system, params)
-    if kind == "faults":
-        return _run_faults(system, params)
     if kind == "vecbatch":
         return _run_vecbatch(system, params)
     raise DefinitionError(f"unknown job kind {kind!r}")
@@ -517,23 +492,6 @@ def _run_reachability(system, params) -> dict[str, Any]:
     }, "sim_metrics": None}
 
 
-def _run_equivalence(system, params) -> dict[str, Any]:
-    from ..core.equivalence import semantically_equivalent
-    from ..io.json_io import system_from_dict
-
-    other = system_from_dict(params["other"])
-    verdict = semantically_equivalent(
-        system, other,
-        _environment_from_dict(params.get("environment")),
-        max_steps=params.get("max_steps", 10_000),
-    )
-    return {"payload": {
-        "equivalent": verdict.equivalent,
-        "relation": verdict.relation,
-        "reason": verdict.reason,
-    }, "sim_metrics": None}
-
-
 def _run_equiv(system, params) -> dict[str, Any]:
     from ..core.equivalence import semantically_equivalent
     from ..io.json_io import system_from_dict
@@ -593,20 +551,6 @@ def _run_synthesize(system, params) -> dict[str, Any]:
                   for m in result.moves],
         "system": system_to_dict(result.system),
     }, "sim_metrics": None}
-
-
-def _run_faults(system, params) -> dict[str, Any]:
-    from ..faults.campaign import run_single_fault
-    from ..faults.spec import FaultSpec
-
-    payload = run_single_fault(
-        system,
-        FaultSpec.from_dict(params["fault"]),
-        _environment_from_dict(params.get("environment")),
-        max_steps=params.get("max_steps", 10_000),
-        campaign_seed=params.get("campaign_seed", 0),
-    )
-    return {"payload": payload, "sim_metrics": None}
 
 
 def _run_vecbatch(system, params) -> dict[str, Any]:

@@ -1,6 +1,9 @@
-"""Fault campaigns: verdict oracle, checkpoint resume, job integration."""
+"""Fault campaigns: verdict oracle, journal resume, job integration."""
 
+import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -16,9 +19,17 @@ from repro.faults import (
     watchdog_budget,
 )
 from repro.core.events import EventStructure
-from repro.runtime import execute_job, faults_job
+import repro.faults.campaign as campaign_module
+from repro.faults.spec import resolve_seeds
+from repro.runtime import ExecutionEngine, execute_job, vecbatch_faults_job
+from repro.runtime.durable import read_journal
 from repro.semantics import simulate
 from repro.semantics.event_structure import event_structure_from_trace
+
+#: A journal written by the one-job-per-fault campaign path this module
+#: used to have: gcd, ``TestCampaign.FAULTS``, seed 7, ``limit=2``.
+PARENT_JOURNAL = (Path(__file__).resolve().parent.parent / "runtime"
+                  / "fixtures" / "parent-campaign-journal.jsonl")
 
 
 def _design(name):
@@ -146,22 +157,24 @@ class TestCampaign:
         assert "detected" in text and "masked" in text
 
     def test_interrupted_campaign_resumes_identically(self, tmp_path):
+        """A journal from the retired per-fault path still resumes."""
         system, env = _design("gcd")
-        checkpoint = str(tmp_path / "campaign.json")
+        journal = tmp_path / "campaign.jsonl"
+        shutil.copyfile(PARENT_JOURNAL, journal)
+        records = read_journal(str(journal))
+        assert records[0] == {"type": "campaign", "system": "gcd",
+                              "seed": 7, "max_steps": 10_000}
+        assert sum(r["type"] == "verdict" for r in records) == 2
 
         straight = run_campaign(system, self.FAULTS, env, seed=7)
-
-        partial = run_campaign(system, self.FAULTS, env, seed=7,
-                               checkpoint_path=checkpoint, limit=2)
-        assert not partial.complete
-        assert len(partial.results) == 2
-        on_disk = json.loads(open(checkpoint).read())
-        assert len(on_disk["results"]) == 2
-
         resumed = run_campaign(system, self.FAULTS, env, seed=7,
-                               checkpoint_path=checkpoint)
+                               journal_path=str(journal), resume=True)
         assert resumed.complete
-        assert resumed.to_dict()["results"] == straight.to_dict()["results"]
+        assert resumed.to_dict() == straight.to_dict()
+        verdicts = [r for r in read_journal(str(journal))
+                    if r["type"] == "verdict"]
+        assert [r["key"] for r in verdicts] == [
+            r["key"] for r in straight.results]
 
     def test_generated_campaign_runs(self):
         system, env = _design("gcd")
@@ -175,8 +188,6 @@ class TestCampaign:
     # write-ahead journal resume
     # ------------------------------------------------------------------
     def test_journal_resume_identical_without_redispatch(self, tmp_path):
-        from repro.runtime import ExecutionEngine, read_journal
-
         system, env = _design("gcd")
         journal = str(tmp_path / "campaign.jsonl")
 
@@ -190,13 +201,24 @@ class TestCampaign:
         assert sum(r["type"] == "verdict" for r in records) == 2
 
         with ExecutionEngine() as engine:
+            dispatched = []
+            run = engine.run
+
+            def spy(specs, **options):
+                dispatched.extend(specs)
+                return run(specs, **options)
+
+            engine.run = spy
             resumed = run_campaign(system, self.FAULTS, env, seed=7,
                                    engine=engine, journal_path=journal,
                                    resume=True)
         assert resumed.complete
         assert resumed.to_dict()["results"] == straight.to_dict()["results"]
-        # only the three missing faults were dispatched on resume
-        assert engine.metrics.jobs == len(self.FAULTS) - 2
+        # only the three missing faults were dispatched on resume, in one
+        # chunk on the serial engine
+        assert [len(spec.params["entries"]) for spec in dispatched] == [
+            len(self.FAULTS) - 2]
+        assert engine.metrics.jobs == 1
 
         # a second resume dispatches nothing at all
         with ExecutionEngine() as engine:
@@ -248,126 +270,125 @@ class TestCampaign:
 
 
 class TestFaultsJob:
+    """One fault inside a ``vecbatch`` chunk, the unit a campaign runs."""
+
     def test_execute_job_matches_direct_run(self):
         system, env = _design("gcd")
         spec = FaultSpec("guard_invert", "t_exit6", start=0, seed=1)
-        job = faults_job(system, spec, env)
-        assert job.kind == "faults"
-        outcome = execute_job(job.to_dict())
+        job = vecbatch_faults_job(system, [spec], env)
+        assert job.kind == "vecbatch"
+        (entry,) = execute_job(job.to_dict())["payload"]["entries"]
         direct = run_single_fault(system, spec, env)
-        assert outcome["payload"] == direct
+        assert entry == dict(direct, key=entry["key"])
 
     def test_key_stable_and_fault_sensitive(self):
         system, env = _design("gcd")
         spec = FaultSpec("guard_invert", "t_exit6", start=0, seed=1)
         other = FaultSpec("guard_invert", "t_exit6", start=1, seed=1)
-        assert faults_job(system, spec, env).key == \
-            faults_job(system, spec, env).key
-        assert faults_job(system, spec, env).key != \
-            faults_job(system, other, env).key
+
+        def keys(*faults):
+            job = vecbatch_faults_job(system, list(faults), env)
+            return [entry["key"] for entry in job.params["entries"]]
+
+        # a fault's key does not depend on the chunk around it
+        assert keys(spec) == keys(spec) == keys(spec, other)[:1]
+        assert keys(spec) != keys(other)
 
     def test_bad_target_rejected_eagerly(self):
         from repro.errors import DefinitionError
         system, env = _design("gcd")
         with pytest.raises(DefinitionError):
-            faults_job(system, FaultSpec("token_loss", "nowhere"), env)
+            vecbatch_faults_job(system, [FaultSpec("token_loss", "nowhere")],
+                                env)
+
+
+def _verdict_map(path):
+    return {r["key"]: r["entry"] for r in read_journal(path)
+            if r.get("type") == "verdict"}
 
 
 class TestVectorBackend:
-    """``backend="vector"``: vecbatch chunks, identical campaign."""
+    """Campaign chunks: ``vecbatch`` jobs sharing a compiled golden run."""
 
     FAULTS = TestCampaign.FAULTS
 
     def test_report_identical_to_interpreter(self):
+        """Each entry equals the interpreter-only ``run_single_fault``."""
         system, env = _design("gcd")
-        interp = run_campaign(system, self.FAULTS, env, seed=3)
-        vector = run_campaign(system, self.FAULTS, env, seed=3,
-                              backend="vector")
-        assert vector.to_dict() == interp.to_dict()
+        report = run_campaign(system, self.FAULTS, env, seed=3)
+        specs = resolve_seeds(list(self.FAULTS), 3)
+        keys = [entry["key"] for entry in vecbatch_faults_job(
+            system, specs, env, campaign_seed=3).params["entries"]]
+        assert report.results == [
+            dict(run_single_fault(system, spec, env, campaign_seed=3),
+                 key=key)
+            for spec, key in zip(specs, keys)]
 
     def test_generated_faults_identical(self):
+        """Twenty generated faults: the report bytes the per-fault path
+        produced, so the chunked path changes no verdict."""
         system, env = _design("gcd")
         faults = generate_faults(system, 20, seed=2)  # > one 16-chunk
-        interp = run_campaign(system, faults, env, seed=2)
-        vector = run_campaign(system, faults, env, seed=2,
-                              backend="vector")
-        assert vector.to_dict() == interp.to_dict()
-
-    def test_unknown_backend_rejected(self):
-        from repro.errors import DefinitionError
-        system, env = _design("gcd")
-        with pytest.raises(DefinitionError, match="unknown campaign "
-                                                  "backend"):
-            run_campaign(system, self.FAULTS, env, backend="cuda")
+        report = run_campaign(system, faults, env, seed=2)
+        blob = json.dumps(report.to_dict(), sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "3ee4fe092d264cb1ea12ea25442996232767f348"
+            "250fc896ef42b1dfc12c393c")
 
     @pytest.mark.parametrize("chunk_size", [1, 3, 64])
     def test_chunk_size_never_changes_verdicts_or_journal(self, tmp_path,
+                                                          monkeypatch,
                                                           chunk_size):
-        """chunk_size is throughput-only: reports and WALs are invariant."""
+        """The chunk cap is throughput-only: reports and journals are
+        invariant whether a chunk holds 1, 3 or every fault."""
         system, env = _design("gcd")
         faults = generate_faults(system, 7, seed=2)  # spans chunks at 1, 3
 
         baseline_journal = str(tmp_path / "baseline.jsonl")
         baseline = run_campaign(system, faults, env, seed=2,
-                                journal_path=baseline_journal,
-                                backend="vector")  # default chunk of 16
+                                journal_path=baseline_journal)
+        monkeypatch.setattr(campaign_module, "MAX_CHUNK_FAULTS", chunk_size)
         chunked_journal = str(tmp_path / f"chunk{chunk_size}.jsonl")
         chunked = run_campaign(system, faults, env, seed=2,
-                               journal_path=chunked_journal,
-                               backend="vector", chunk_size=chunk_size)
+                               journal_path=chunked_journal)
 
         assert chunked.to_dict() == baseline.to_dict()
-        from repro.runtime.durable import read_journal
+        assert _verdict_map(chunked_journal) == _verdict_map(baseline_journal)
+        assert len(_verdict_map(chunked_journal)) == 7
 
-        def verdict_map(path):
-            return {r["key"]: r["entry"] for r in read_journal(path)
-                    if r.get("type") == "verdict"}
-
-        assert verdict_map(chunked_journal) == verdict_map(baseline_journal)
-
-    def test_chunk_size_must_be_positive(self):
-        from repro.errors import DefinitionError
+    def test_workers_never_change_verdicts_or_journal(self, tmp_path):
+        """Serial chunks of 16 and pool-sized chunks of 10 agree."""
         system, env = _design("gcd")
-        with pytest.raises(DefinitionError, match="chunk_size"):
-            run_campaign(system, self.FAULTS, env, backend="vector",
-                         chunk_size=0)
+        faults = generate_faults(system, 20, seed=2)
+        reports, journals = [], []
+        for workers in (0, 2):
+            journal = str(tmp_path / f"workers{workers}.jsonl")
+            with ExecutionEngine(workers=workers) as engine:
+                reports.append(run_campaign(system, faults, env, seed=2,
+                                            engine=engine,
+                                            journal_path=journal))
+            journals.append(_verdict_map(journal))
+        assert reports[0].to_dict() == reports[1].to_dict()
+        assert journals[0] == journals[1]
+        assert len(journals[0]) == 20
 
     def test_journal_interop_across_backends(self, tmp_path):
-        """A journal written by one backend resumes under the other."""
+        """A journal resumes whatever chunking wrote it."""
         system, env = _design("gcd")
         straight = run_campaign(system, self.FAULTS, env, seed=7)
 
-        j1 = str(tmp_path / "interp.jsonl")
+        serial = str(tmp_path / "serial.jsonl")
         partial = run_campaign(system, self.FAULTS, env, seed=7,
-                               journal_path=j1, limit=2)
+                               journal_path=serial, limit=3)
         assert not partial.complete
-        resumed = run_campaign(system, self.FAULTS, env, seed=7,
-                               journal_path=j1, resume=True,
-                               backend="vector")
-        assert resumed.complete
-        assert resumed.to_dict()["results"] == \
-            straight.to_dict()["results"]
-
-        j2 = str(tmp_path / "vector.jsonl")
-        partial = run_campaign(system, self.FAULTS, env, seed=7,
-                               journal_path=j2, limit=3,
-                               backend="vector")
-        assert not partial.complete
-        resumed = run_campaign(system, self.FAULTS, env, seed=7,
-                               journal_path=j2, resume=True)
-        assert resumed.complete
-        assert resumed.to_dict()["results"] == \
-            straight.to_dict()["results"]
-
-    def test_checkpoint_interop_across_backends(self, tmp_path):
-        system, env = _design("gcd")
-        checkpoint = str(tmp_path / "campaign.json")
-        straight = run_campaign(system, self.FAULTS, env, seed=7)
-        run_campaign(system, self.FAULTS, env, seed=7,
-                     checkpoint_path=checkpoint, limit=2,
-                     backend="vector")
-        resumed = run_campaign(system, self.FAULTS, env, seed=7,
-                               checkpoint_path=checkpoint)
-        assert resumed.complete
-        assert resumed.to_dict()["results"] == \
-            straight.to_dict()["results"]
+        assert len(partial.results) == 3  # limit counts faults
+        per_fault = tmp_path / "per-fault.jsonl"
+        shutil.copyfile(PARENT_JOURNAL, per_fault)
+        for journal in (serial, str(per_fault)):
+            with ExecutionEngine(workers=2) as engine:
+                resumed = run_campaign(system, self.FAULTS, env, seed=7,
+                                       engine=engine, journal_path=journal,
+                                       resume=True)
+            assert resumed.complete
+            assert resumed.to_dict()["results"] == \
+                straight.to_dict()["results"]

@@ -176,6 +176,67 @@ class TestDegradation:
             ExecutionEngine(retries=-1)
 
 
+class _InlinePool:
+    """A stand-in pool that runs each job at submit time.
+
+    Its ``refuse_at``-th submit raises ``BrokenProcessPool``, as a real
+    pool does when a worker died after the engine's last wait.
+    """
+
+    def __init__(self, refuse_at: int | None):
+        self.refuse_at = refuse_at
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        self.submits += 1
+        if self.submits == self.refuse_at:
+            raise BrokenProcessPool("a worker died after the last wait")
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, **_options):
+        pass
+
+
+class TestBrokenSubmit:
+    @pytest.mark.parametrize("refuse_at", [1, 3])
+    def test_refused_submit_loses_and_charges_nothing(
+            self, tmp_path, monkeypatch, refuse_at):
+        """The first pool refuses one submit; every job still settles ok.
+
+        At ``refuse_at=3`` two attempts are in flight when the pool
+        breaks: their guilt is unknown, so they re-run one at a time.
+        """
+        import repro.runtime.executor as executor
+
+        pools = []
+
+        def make_pool(max_workers):
+            pools.append(_InlinePool(refuse_at if not pools else None))
+            return pools[-1]
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", make_pool)
+        jobs = [probe_job("ok", payload=n, label=str(n)) for n in range(4)]
+        journal = Journal(tmp_path / "wal.jsonl", fresh=True)
+        with ExecutionEngine(workers=3, retries=0, backoff=0,
+                             journal=journal) as engine:
+            batch = engine.run(jobs)
+        journal.close()
+        assert [r.status for r in batch] == ["ok"] * 4
+        assert [r.payload for r in batch] == [{"echo": n} for n in range(4)]
+        assert [r.attempts for r in batch] == [1] * 4
+        assert engine.metrics.pool_resets == 1
+        assert len(pools) == 2
+        settles = list(iter_settled(read_journal(tmp_path / "wal.jsonl")))
+        assert sorted(key for key, _ in settles) == sorted(
+            job.key for job in jobs)  # each job settles exactly once
+        assert all(record["status"] == "ok" for _, record in settles)
+
+
 class TestCachedBatches:
     def test_mixed_hit_miss_batch(self, tmp_path, zoo):
         design, system = zoo["gcd"]

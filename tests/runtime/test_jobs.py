@@ -11,9 +11,7 @@ from repro.runtime import (
     canonical_json,
     check_job,
     equiv_job,
-    equivalence_job,
     execute_job,
-    faults_job,
     fuzz_job,
     lint_job,
     load_job_file,
@@ -133,9 +131,11 @@ class TestInterpreter:
 
     def test_equivalence_payload(self, zoo):
         design, system = zoo["gcd"]
-        spec = equivalence_job(system, design.build(), design.environment())
+        spec = equiv_job(system, design.build(), design.environment(),
+                         backend="explicit")
         payload = execute_job(spec.to_dict())["payload"]
         assert payload["equivalent"] is True
+        assert payload["backend"] == "explicit"
 
     def test_synthesize_payload_round_trips_system(self, zoo):
         from repro.io import system_from_dict
@@ -318,9 +318,6 @@ _PINNED_SPECS = {
     "reachability": lambda zoo: reachability_job(zoo["gcd"][1]),
     "equiv": lambda zoo: equiv_job(zoo["gcd"][1], zoo["gcd"][0].build(),
                                    zoo["gcd"][0].environment()),
-    "faults": lambda zoo: faults_job(
-        zoo["gcd"][1], _fault("guard_invert:t_exit6:start=0"),
-        zoo["gcd"][0].environment()),
     "vecbatch-simulate": lambda zoo: vecbatch_simulate_job(
         zoo["counter"][1], [zoo["counter"][0].environment()] * 3,
         max_steps=500),
@@ -330,6 +327,15 @@ _PINNED_SPECS = {
         zoo["gcd"][0].environment()),
     "fuzz": lambda zoo: fuzz_job(seed=0, cases=4),
 }
+
+
+def _first_fault_entry(zoo):
+    """The first entry of the ``vecbatch-faults`` spec, split into the
+    fault's own key and its payload: the same key and bytes the retired
+    one-job-per-fault kind gave this fault."""
+    spec = _PINNED_SPECS["vecbatch-faults"](zoo)
+    entry = dict(execute_job(spec.to_dict())["payload"]["entries"][0])
+    return entry.pop("key"), entry
 
 
 class TestKindPins:
@@ -376,7 +382,17 @@ class TestKindPins:
          "6ab0dc0c43ab951b0c29d5a2"),
     ])
     def test_key_and_payload_are_pinned(self, zoo, kind, key, digest):
-        spec = _PINNED_SPECS[kind](zoo)
-        assert spec.key == key
-        payload = canonical_json(execute_job(spec.to_dict())["payload"])
-        assert hashlib.sha256(payload.encode()).hexdigest() == digest
+        if kind == "faults":
+            got_key, payload = _first_fault_entry(zoo)
+        else:
+            spec = _PINNED_SPECS[kind](zoo)
+            got_key = spec.key
+            payload = execute_job(spec.to_dict())["payload"]
+        assert got_key == key
+        blob = canonical_json(payload)
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind", ["faults", "equivalence"])
+    def test_retired_kinds_fail_closed(self, kind):
+        with pytest.raises(DefinitionError, match="unknown job kind"):
+            JobSpec(kind)

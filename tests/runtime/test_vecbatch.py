@@ -3,9 +3,9 @@
 The contract: a vecbatch is a *batch of classic jobs*.  Its simulate
 payload carries one per-lane record shaped exactly like the
 ``simulate`` kind's payload; its faults payload carries one entry per
-fault shaped exactly like the ``faults`` kind's payload, each stamped
-with the classic per-fault job key — so caches, journals, and campaign
-checkpoints interoperate across backends.
+fault equal to :func:`repro.faults.run_single_fault`, each stamped with
+the fault's per-fault key — so campaign reports and journals address
+verdicts one fault at a time, however the faults were chunked.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from repro.errors import DefinitionError
 from repro.faults import FaultSpec, run_single_fault
 from repro.runtime import (
     execute_job,
-    faults_job,
     simulate_job,
     vecbatch_faults_job,
     vecbatch_simulate_job,
@@ -71,18 +70,24 @@ class TestFaultsMode:
         FaultSpec("token_loss", "s3_while", start=0),
     ]
 
+    #: The keys the retired one-job-per-fault kind gave ``FAULTS`` with
+    #: campaign seed 3; older journals resume on them.
+    KEYS = [
+        "2bcf4aee54dcbb9cc7363b76984611ff283ab497715f9be43cbc93e6072455b3",
+        "fcee0dc299094340916b8c6c8b494409842b93eb86e2d07000c45aa2cf2dba01",
+        "fd61a4519b123818737ec765b0307e3b1e6ad2d4e1b10f3b7a0162ecf50d9a6f",
+    ]
+
     def test_entries_match_classic_fault_jobs(self):
         design, system = _design("gcd")
         env = design.environment()
         batch = vecbatch_faults_job(system, self.FAULTS, env,
                                     campaign_seed=3)
         entries = execute_job(batch.to_dict())["payload"]["entries"]
-        assert len(entries) == len(self.FAULTS)
-        for entry, fault in zip(entries, self.FAULTS):
-            classic = faults_job(system, fault, env, campaign_seed=3)
-            assert entry["key"] == classic.key
-            outcome = execute_job(classic.to_dict())
-            assert entry == dict(outcome["payload"], key=classic.key)
+        assert [entry["key"] for entry in entries] == self.KEYS
+        for entry, fault, key in zip(entries, self.FAULTS, self.KEYS):
+            direct = run_single_fault(system, fault, env, campaign_seed=3)
+            assert entry == dict(direct, key=key)
 
     def test_golden_handoff_does_not_change_payload(self):
         """_golden is pure memoization: same payload with or without."""

@@ -337,6 +337,26 @@ class TestSimulateSeed:
 
 
 class TestFaults:
+    @pytest.mark.parametrize("design,seed,digest", [
+        ("gcd", 1, "31d5922a0f94f58f3bbe3860e6d0d7c4"
+                   "b6884f96f401117eb20a7d52031bd774"),
+        ("gcd", 2, "b70906ef12fa0040b5502f69e7ea4e97"
+                   "eb7e37189bb454f22b5a3dfb420996c5"),
+        ("counter", 1, "599613e787d9e7390b47fe03763fe6af"
+                       "d494a2e956d45dda722f31014393fa92"),
+        ("counter", 2, "5a234ab74d84fc775c3c30fc504ff541"
+                       "822dcd77c2d6b46b1afb51b68a922d4c"),
+    ])
+    def test_auto_campaign_report_bytes_pinned(self, capsys, design, seed,
+                                               digest):
+        """Report bytes measured when each fault ran as its own job."""
+        import hashlib
+
+        assert main(["faults", design, "--auto", "60", "--seed", str(seed),
+                     "--format", "json"]) in (0, 1)
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_detected_and_masked_exit_zero(self, capsys):
         assert main(["faults", "gcd",
                      "--fault", "guard_invert:t_exit6:start=0",
@@ -377,17 +397,6 @@ class TestFaults:
                      "--output", str(report_path)]) == 0
         payload = json.loads(report_path.read_text())
         assert payload["results"][0]["verdict"] == "detected"
-
-    def test_checkpoint_resume(self, tmp_path, capsys):
-        checkpoint = tmp_path / "campaign.json"
-        args = ["faults", "gcd",
-                "--fault", "guard_invert:t_exit6:start=0",
-                "--fault", "arc_close:a2:start=0",
-                "--checkpoint", str(checkpoint)]
-        assert main(args) == 0
-        first = json.loads(checkpoint.read_text())
-        assert main(args) == 0  # everything already done: pure replay
-        assert json.loads(checkpoint.read_text()) == first
 
 
 class TestDurableCli:
@@ -450,6 +459,9 @@ class TestDurableCli:
         ["batch", "jobs.json", "--server", "x", "--priority", "1"],
         ["sweep", "gcd", "--hang-timeout", "1"],
         ["faults", "gcd", "--quarantine-after", "2"],
+        ["faults", "gcd", "--auto", "2", "--backend", "vector"],
+        ["faults", "gcd", "--auto", "2", "--chunk-size", "4"],
+        ["faults", "gcd", "--auto", "2", "--checkpoint", "r.json"],
         ["batch", "jobs.json", "--server", "http://127.0.0.1:1"],
         ["batch", "jobs.json", "--poll", "1"],
         ["batch", "jobs.json", "--max-wait", "1"],
@@ -532,20 +544,15 @@ class TestCacheCli:
 
 class TestFaultsChunkSize:
     ARGS = ["faults", "gcd", "--fault", "guard_invert:t_exit6:start=0",
-            "--fault", "arc_close:a2:start=0", "--backend", "vector",
-            "--format", "json"]
+            "--fault", "arc_close:a2:start=0", "--format", "json"]
 
     def test_chunk_size_invariant_report(self, capsys):
-        assert main(self.ARGS + ["--chunk-size", "1"]) == 0
-        one = capsys.readouterr().out
-        assert main(self.ARGS + ["--chunk-size", "16"]) == 0
-        sixteen = capsys.readouterr().out
-        assert json.loads(one[one.index("{"):]) == \
-            json.loads(sixteen[sixteen.index("{"):])
-
-    def test_chunk_size_must_be_positive(self, capsys):
-        assert main(self.ARGS + ["--chunk-size", "0"]) == 2
-        assert "chunk_size" in capsys.readouterr().err
+        """One serial chunk of two, or one chunk per pool worker."""
+        assert main(self.ARGS) == 0
+        serial = capsys.readouterr().out
+        assert main(self.ARGS + ["--workers", "2"]) == 0
+        pooled = capsys.readouterr().out
+        assert serial == pooled
 
 
 class TestEquiv:
