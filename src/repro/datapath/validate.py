@@ -121,7 +121,7 @@ def combinational_cycle(dp: DataPath, arc_names: Iterable[str]) -> list[str] | N
     colour: dict[str, int] = {}
     parent: dict[str, str] = {}
 
-    for root in list(edges):
+    for root in sorted(edges):
         if colour.get(root, WHITE) is not WHITE:
             continue
         stack: list[tuple[str, Iterable[str]]] = [(root, iter(sorted(edges.get(root, ()))))]

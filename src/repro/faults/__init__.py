@@ -14,10 +14,10 @@ whether the breakage is observable.
 * :mod:`~repro.faults.monitors` — runtime monitors (RT001–RT007) that
   watch the properness clauses *while running* and raise structured
   :class:`~repro.diagnostics.Diagnostic`\\ s;
-* :mod:`~repro.faults.campaign` — the campaign runner: one
-  content-addressed job per fault, golden-vs-faulty event-structure
-  comparison (the deviation oracle), and the masked / detected / silent
-  verdict report.
+* :mod:`~repro.faults.campaign` — the campaign runner: chunks of
+  faults sharing one golden run, faulty runs forked from and rejoined
+  to it, golden-vs-faulty event-structure comparison (the deviation
+  oracle), and the masked / detected / silent verdict report.
 """
 
 from .campaign import (

@@ -3,8 +3,8 @@
 One campaign takes a system, its environment, and a fault list, and
 answers for every fault: *did the hardware notice?*  The faults travel
 in ``vecbatch`` chunks (:func:`repro.runtime.jobs.vecbatch_faults_job`);
-a worker computes the **golden** (fault-free) run once per chunk, then
-replays each faulty run with the
+a worker computes the **golden** (fault-free) run once per chunk on the
+interpreter (:func:`golden_run`), then runs each fault with the
 :class:`~repro.faults.inject.FaultInjector` and the standard
 :mod:`~repro.faults.monitors` stack attached, and classifies:
 
@@ -19,6 +19,18 @@ replays each faulty run with the
 ``silent``
     no monitor fired but the observable behaviour deviated — the
     dangerous case the report exists to surface.
+
+A faulty run simulates only where it can differ from the golden run —
+concurrent fault simulation in the sense of Ulrich and Baker.  The rest
+of a run is a function of its state (Definition 3.1), so the golden run
+checkpoints at each fault's window boundaries; a faulty run **forks**
+from the checkpoint at its window's start (before it, the injector is
+inert and the run *is* the golden run) and **rejoins** — stops, taking
+the golden run's remaining events — at the first boundary after its
+window where its state equals the golden state.  The golden run must be
+*clean* for this (no conflict record, no unsafe marking), so the
+monitors have nothing to find in the parts taken from it; any other run
+replays in full.  The payload is byte-identical either way.
 
 A chunk is one job to the engine: its timeout (``repro faults
 --timeout``) and retries apply per chunk, and a chunk that fails
@@ -43,16 +55,23 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from ..core.events import EventStructure
 from ..errors import DefinitionError, ExecutionError
 from ..semantics.environment import Environment
 from ..semantics.event_structure import event_structure_from_trace
 from ..semantics.policies import SeededMaximalPolicy
-from ..semantics.simulator import Simulator
+from ..semantics.simulator import Checkpoint, SimHook, Simulator
+from ..semantics.trace import Trace
 from .inject import FaultInjector
-from .monitors import MonitorViolation, _TraceConflictMonitor, finding_from_error, standard_monitors
+from .monitors import (
+    MonitorViolation,
+    SafetyMonitor,
+    _TraceConflictMonitor,
+    finding_from_error,
+    standard_monitors,
+)
 from .spec import FaultSpec, resolve_seeds
 
 #: The three verdicts, plus the infrastructure failure bucket.
@@ -119,49 +138,148 @@ def watchdog_budget(golden_steps: int, max_steps: int) -> int:
     return min(max(16, 4 * golden_steps + 16), max_steps)
 
 
+class _Snapshots(SimHook):
+    """Golden-run recorder: a checkpoint at each boundary step."""
+
+    def __init__(self, steps: frozenset[int]) -> None:
+        self._steps = steps
+        self.checkpoints: dict[int, Checkpoint] = {}
+
+    def pre_step(self, sim, step, marking):
+        if step in self._steps:
+            self.checkpoints[step] = sim.checkpoint()
+        return None
+
+
+class _Rejoined(Exception):
+    """The faulty run's state equals the golden state at ``step``."""
+
+    def __init__(self, step: int) -> None:
+        super().__init__(step)
+        self.step = step
+
+
+class _Rejoin(SimHook):
+    """Stops a faulty run at the first golden checkpoint after its
+    window whose state it matches."""
+
+    def __init__(self, checkpoints: Mapping[int, Checkpoint],
+                 after: int) -> None:
+        self._checkpoints = {step: checkpoint
+                             for step, checkpoint in checkpoints.items()
+                             if step > after}
+
+    def pre_step(self, sim, step, marking):
+        golden = self._checkpoints.get(step)
+        if golden is not None and sim.checkpoint() == golden:
+            raise _Rejoined(step)
+        return None
+
+
+@dataclass(frozen=True)
+class GoldenRun:
+    """The fault-free run a chunk of faults is judged against.
+
+    ``checkpoints`` maps each window-boundary step of the chunk's faults
+    to the golden state at the top of that step; it is empty when the
+    run is not *clean* (it recorded a conflict or an unsafe marking), so
+    no faulty run forks from it.
+    """
+
+    trace: Trace
+    structure: EventStructure
+    digest: str
+    checkpoints: Mapping[int, Checkpoint]
+
+
+def golden_run(system, faults: Iterable[FaultSpec],
+               environment: Environment | None = None, *,
+               max_steps: int = 10_000,
+               campaign_seed: int = 0) -> GoldenRun:
+    """Run the golden run once for a set of faults (one chunk).
+
+    It checkpoints only at the faults' window boundaries — each
+    ``start`` and each ``end + 1`` — so it stores at most two snapshots
+    per fault.
+    """
+    env = environment if environment is not None else Environment()
+    steps = set()
+    for fault in faults:
+        steps.add(fault.start)
+        if fault.end is not None:
+            steps.add(fault.end + 1)
+    recorder = _Snapshots(frozenset(steps))
+    safety = SafetyMonitor()
+    trace = Simulator(system, env.fork(), SeededMaximalPolicy(campaign_seed),
+                      strict=False, hooks=[recorder, safety]).run(
+                          max_steps=max_steps, on_limit="return")
+    structure = event_structure_from_trace(system, trace)
+    clean = not trace.conflicts and not safety.findings
+    return GoldenRun(trace, structure, event_structure_digest(structure),
+                     recorder.checkpoints if clean else {})
+
+
 def run_single_fault(system, fault: FaultSpec,
                      environment: Environment | None = None, *,
                      max_steps: int = 10_000,
                      campaign_seed: int = 0,
-                     _golden=None) -> dict[str, Any]:
+                     _golden: GoldenRun | None = None) -> dict[str, Any]:
     """Run one fault experiment; return the JSON-safe result payload.
 
-    Self-contained by design: the golden run is recomputed here rather
-    than shipped in, so the payload is a pure function of ``(system,
-    fault, environment, max_steps, campaign_seed)`` — the reference each
-    entry of a campaign's ``vecbatch`` chunks must equal.
+    The payload is a pure function of ``(system, fault, environment,
+    max_steps, campaign_seed)`` — the reference each entry of a
+    campaign's ``vecbatch`` chunks must equal.
+
+    The faulty run covers only its divergent segment (see the module
+    docstring).  When the golden run is clean, has a checkpoint at
+    ``fault.start`` and the fault's window ends, the run forks from that
+    checkpoint and starts from the golden events that ended before it;
+    at each golden checkpoint after ``fault.end`` it compares its state
+    with the golden state and, once they are equal, stops and takes the
+    golden events from there on.  Every other run replays in full.
+    Either way the payload is the full run's: the injector draws nothing
+    outside its window, and a clean golden run gives the monitors
+    nothing to find in the segments taken from it (no conflict, no
+    unsafe marking, every step inside the watchdog budget, and RT006 is
+    off when the golden run deadlocks).
 
     ``_golden`` is a memoization hand-off for batch runners (the
-    ``vecbatch`` job kind): a golden :class:`~repro.semantics.trace.
-    Trace` for this exact ``(system, environment, campaign_seed,
-    max_steps)`` configuration.  Because the golden run is deterministic
-    in those inputs (and the vector backend is byte-identical to the
-    interpreter), passing it cannot change the payload — it only skips
-    recomputing the same trace for every fault in a chunk.
+    ``vecbatch`` job kind): the :func:`golden_run` for this exact
+    ``(system, environment, campaign_seed, max_steps)`` configuration,
+    computed once for a whole chunk of faults.  The golden run is
+    deterministic in those inputs, and one made for more faults only
+    holds more checkpoints, so passing it cannot change the payload —
+    it only skips recomputing the golden run, its event structure and
+    its digest for every fault.
     """
     fault.validate(system)
     env = environment if environment is not None else Environment()
+    golden = _golden if _golden is not None else golden_run(
+        system, [fault], env, max_steps=max_steps,
+        campaign_seed=campaign_seed)
+    golden_trace = golden.trace
+    budget = watchdog_budget(golden_trace.step_count, max_steps)
 
-    if _golden is None:
-        golden_sim = Simulator(system, env.fork(),
-                               SeededMaximalPolicy(campaign_seed),
-                               strict=False)
-        golden = golden_sim.run(max_steps=max_steps, on_limit="return")
-    else:
-        golden = _golden
-    golden_structure = event_structure_from_trace(system, golden)
-    budget = watchdog_budget(golden.step_count, max_steps)
-
+    fork = (golden.checkpoints.get(fault.start)
+            if fault.end is not None else None)
     injector = FaultInjector([fault], seed=campaign_seed)
     monitors = standard_monitors(budget,
-                                 include_deadlock=not golden.deadlocked)
+                                 include_deadlock=not golden_trace.deadlocked)
+    hooks = [injector, *monitors]
+    if fork is not None:
+        hooks.insert(0, _Rejoin(golden.checkpoints, fault.end))
     faulty_sim = Simulator(system, env.fork(),
                            SeededMaximalPolicy(campaign_seed), strict=False,
-                           hooks=[injector, *monitors])
+                           hooks=hooks)
     error_text: str | None = None
     extra_findings = []
+    rejoined: int | None = None
     try:
-        faulty = faulty_sim.run(max_steps=max_steps, on_limit="return")
+        faulty = faulty_sim.run(max_steps=max_steps, on_limit="return",
+                                from_checkpoint=fork)
+    except _Rejoined as rejoin:
+        rejoined = rejoin.step
+        faulty = None
     except MonitorViolation:
         faulty = None  # the halting monitor already holds the finding
     except ExecutionError as error:
@@ -180,10 +298,18 @@ def run_single_fault(system, fault: FaultSpec,
         key=lambda f: (f.step, f.diagnostic.rule))
     findings.extend(extra_findings)
 
+    if faulty_trace is not None and fork is not None:
+        events = [event for event in golden_trace.events
+                  if event.end < fault.start]
+        events.extend(faulty_trace.events)
+        if rejoined is not None:
+            events.extend(event for event in golden_trace.events
+                          if event.end >= rejoined)
+        faulty_trace = Trace(events=events)
     faulty_structure = (event_structure_from_trace(system, faulty_trace)
                         if faulty_trace is not None
                         else EventStructure((), frozenset(), frozenset()))
-    deviations = deviation_count(golden_structure, faulty_structure)
+    deviations = deviation_count(golden.structure, faulty_structure)
 
     first_injection = injector.first_injection_step
     if findings:
@@ -196,6 +322,12 @@ def run_single_fault(system, fault: FaultSpec,
         detection_step = None
         latency = None
 
+    if rejoined is not None:
+        faulty_steps = golden_trace.step_count
+    elif faulty is not None:
+        faulty_steps = faulty.step_count
+    else:
+        faulty_steps = faulty_sim._current_step
     return {
         "fault": fault.to_dict(),
         "label": fault.describe(),
@@ -206,10 +338,9 @@ def run_single_fault(system, fault: FaultSpec,
         "first_injection_step": first_injection,
         "injection_count": injector.injection_count,
         "deviation_events": deviations,
-        "golden_steps": golden.step_count,
-        "golden_digest": event_structure_digest(golden_structure),
-        "faulty_steps": (faulty_trace.step_count if faulty is not None
-                         else faulty_sim._current_step),
+        "golden_steps": golden_trace.step_count,
+        "golden_digest": golden.digest,
+        "faulty_steps": faulty_steps,
         "findings": [dict(f.diagnostic.as_dict(), step=f.step)
                      for f in findings],
         "error": error_text,

@@ -65,6 +65,9 @@ from .metrics import FleetMetrics
 
 _TICK_SECONDS = 0.05
 
+#: How long a terminated worker gets to exit before it is killed.
+_REAP_SECONDS = 1.0
+
 #: Statuses that count as a successful outcome.
 _OK_STATUSES = ("ok", "cached", "replayed")
 
@@ -570,8 +573,19 @@ class ExecutionEngine:
         pool, self._pool = self._pool, None
         if pool is None:
             return
-        for process in list((getattr(pool, "_processes", None) or {}).values()):
+        processes = list((getattr(pool, "_processes", None) or {}).values())
+        for process in processes:
             with contextlib.suppress(Exception):
                 process.terminate()
+        # Reap the workers, then wait for the pool's manager thread: with
+        # its workers gone it closes its wakeup pipe and exits at once.
+        # Left running, it races the interpreter's exit hook, which then
+        # writes to the closed pipe ("Bad file descriptor" on stderr).
+        for process in processes:
+            with contextlib.suppress(Exception):
+                process.join(timeout=_REAP_SECONDS)
+                if process.is_alive():
+                    process.kill()
+                    process.join()
         with contextlib.suppress(Exception):
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(wait=True, cancel_futures=True)

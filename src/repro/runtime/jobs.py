@@ -19,8 +19,9 @@ payload so cached and fresh results stay byte-comparable.
 
 A fault campaign is a handful of ``vecbatch`` jobs in ``faults`` mode
 (:func:`vecbatch_faults_job`): each is a chunk of faults sharing one
-golden run, and each of its entries carries its own per-fault key, so
-reports and journals address verdicts one fault at a time.
+golden run, from whose checkpoints each faulty run forks, and each of
+its entries carries its own per-fault key, so reports and journals
+address verdicts one fault at a time.
 
 The extra ``probe`` kind is a fault-injection aid for tests and
 benchmarks: it can succeed, fail, fail transiently, sleep past a
@@ -578,35 +579,27 @@ def _run_vecbatch_simulate(system, params) -> dict[str, Any]:
 
 
 def _run_vecbatch_faults(system, params) -> dict[str, Any]:
-    from ..faults.campaign import run_single_fault
+    from ..faults.campaign import golden_run, run_single_fault
     from ..faults.spec import FaultSpec
-    from ..semantics.policies import SeededMaximalPolicy
-    from ..semantics.simulator import Simulator
 
     environment = _environment_from_dict(params.get("environment"))
     max_steps = params.get("max_steps", 10_000)
     campaign_seed = params.get("campaign_seed", 0)
-    # One golden run shared by the whole chunk — through the vector
-    # backend when the system/policy is supported, else the interpreter
-    # (byte-identical either way; see run_single_fault's _golden note).
-    try:
-        golden = Simulator(system, environment.fork(),
-                           SeededMaximalPolicy(campaign_seed),
-                           strict=False, backend="vector").run(
-                               max_steps=max_steps, on_limit="return")
-    except DefinitionError:
-        golden = Simulator(system, environment.fork(),
-                           SeededMaximalPolicy(campaign_seed),
-                           strict=False).run(max_steps=max_steps,
-                                             on_limit="return")
-    entries = []
-    for entry in params.get("entries", []):
+    entries = params.get("entries", [])
+    faults = [FaultSpec.from_dict(entry["fault"]) for entry in entries]
+    # One golden run shared by the whole chunk, checkpointed at every
+    # fault's window boundaries: each faulty run forks at its window's
+    # start and stops once it rejoins the golden run (see
+    # run_single_fault).
+    golden = golden_run(system, faults, environment, max_steps=max_steps,
+                        campaign_seed=campaign_seed)
+    payloads = []
+    for entry, fault in zip(entries, faults):
         payload = run_single_fault(
-            system, FaultSpec.from_dict(entry["fault"]), environment,
-            max_steps=max_steps, campaign_seed=campaign_seed,
-            _golden=golden)
-        entries.append(dict(payload, key=entry["key"]))
-    return {"payload": {"entries": entries}, "sim_metrics": None}
+            system, fault, environment, max_steps=max_steps,
+            campaign_seed=campaign_seed, _golden=golden)
+        payloads.append(dict(payload, key=entry["key"]))
+    return {"payload": {"entries": payloads}, "sim_metrics": None}
 
 
 def _run_fuzz(params) -> dict[str, Any]:

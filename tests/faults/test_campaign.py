@@ -2,29 +2,42 @@
 
 import hashlib
 import json
+import os
+import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.designs import get_design
+from repro.designs import ZOO, get_design
 from repro.faults import (
     CampaignReport,
+    FaultInjector,
     FaultSpec,
+    MonitorViolation,
     deviation_count,
     event_structure_digest,
     generate_faults,
     run_campaign,
     run_single_fault,
+    standard_monitors,
     watchdog_budget,
 )
 from repro.core.events import EventStructure
+from repro.errors import ExecutionError
 import repro.faults.campaign as campaign_module
+from repro.faults.campaign import golden_run
+from repro.faults.monitors import _TraceConflictMonitor, finding_from_error
 from repro.faults.spec import resolve_seeds
+from repro.fuzz.generate import GeneratorConfig, generate_case
 from repro.runtime import ExecutionEngine, execute_job, vecbatch_faults_job
 from repro.runtime.durable import read_journal
-from repro.semantics import simulate
+from repro.semantics import SimHook, Simulator, simulate
+from repro.semantics.environment import Environment
 from repro.semantics.event_structure import event_structure_from_trace
+from repro.semantics.policies import SeededMaximalPolicy
 
 #: A journal written by the one-job-per-fault campaign path this module
 #: used to have: gcd, ``TestCampaign.FAULTS``, seed 7, ``limit=2``.
@@ -392,3 +405,303 @@ class TestVectorBackend:
             assert resumed.complete
             assert resumed.to_dict()["results"] == \
                 straight.to_dict()["results"]
+
+
+# ---------------------------------------------------------------------------
+# fork and rejoin: differential tests against a full faulty run
+# ---------------------------------------------------------------------------
+def _reference_golden(system, env, *, max_steps=10_000, campaign_seed=0):
+    return Simulator(system, env.fork(), SeededMaximalPolicy(campaign_seed),
+                     strict=False).run(max_steps=max_steps, on_limit="return")
+
+
+def _reference_single_fault(system, fault, environment=None, *,
+                            max_steps=10_000, campaign_seed=0,
+                            _golden=None):
+    """The faulty run replayed in full from step 0, classified exactly as
+    ``run_single_fault`` did before faulty runs forked from the golden
+    run: the oracle the fork-and-rejoin payloads must equal.  ``_golden``
+    is the golden trace, when the caller already has it."""
+    fault.validate(system)
+    env = environment if environment is not None else Environment()
+
+    if _golden is None:
+        golden = _reference_golden(system, env, max_steps=max_steps,
+                                   campaign_seed=campaign_seed)
+    else:
+        golden = _golden
+    golden_structure = event_structure_from_trace(system, golden)
+    budget = watchdog_budget(golden.step_count, max_steps)
+
+    injector = FaultInjector([fault], seed=campaign_seed)
+    monitors = standard_monitors(budget,
+                                 include_deadlock=not golden.deadlocked)
+    faulty_sim = Simulator(system, env.fork(),
+                           SeededMaximalPolicy(campaign_seed), strict=False,
+                           hooks=[injector, *monitors])
+    error_text = None
+    extra_findings = []
+    try:
+        faulty = faulty_sim.run(max_steps=max_steps, on_limit="return")
+    except MonitorViolation:
+        faulty = None  # the halting monitor already holds the finding
+    except ExecutionError as error:
+        extra_findings.append(
+            finding_from_error(error, system.name,
+                               step=faulty_sim._current_step))
+        error_text = str(error)
+        faulty = None
+    faulty_trace = faulty if faulty is not None else faulty_sim.current_trace
+    if faulty_trace is not None:
+        for monitor in monitors:
+            if isinstance(monitor, _TraceConflictMonitor):
+                monitor.scan(faulty_sim, faulty_trace)
+    findings = sorted(
+        (finding for monitor in monitors for finding in monitor.findings),
+        key=lambda f: (f.step, f.diagnostic.rule))
+    findings.extend(extra_findings)
+
+    faulty_structure = (event_structure_from_trace(system, faulty_trace)
+                        if faulty_trace is not None
+                        else EventStructure((), frozenset(), frozenset()))
+    deviations = deviation_count(golden_structure, faulty_structure)
+
+    first_injection = injector.first_injection_step
+    if findings:
+        verdict = "detected"
+        detection_step = findings[0].step
+        latency = (detection_step - first_injection
+                   if first_injection is not None else None)
+    else:
+        verdict = "masked" if deviations == 0 else "silent"
+        detection_step = None
+        latency = None
+
+    return {
+        "fault": fault.to_dict(),
+        "label": fault.describe(),
+        "verdict": verdict,
+        "detected_by": sorted({f.diagnostic.rule for f in findings}),
+        "detection_step": detection_step,
+        "detection_latency": latency,
+        "first_injection_step": first_injection,
+        "injection_count": injector.injection_count,
+        "deviation_events": deviations,
+        "golden_steps": golden.step_count,
+        "golden_digest": event_structure_digest(golden_structure),
+        "faulty_steps": (faulty_trace.step_count if faulty is not None
+                         else faulty_sim._current_step),
+        "findings": [dict(f.diagnostic.as_dict(), step=f.step)
+                     for f in findings],
+        "error": error_text,
+    }
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Spy on every ``Simulator.run``: the step it forked from (None for
+    a run from step 0) and the step it rejoined at (None: it did not)."""
+    calls = []
+    run = Simulator.run
+
+    def spy(self, **options):
+        checkpoint = options.get("from_checkpoint")
+        call = {"fork": checkpoint.step if checkpoint is not None else None,
+                "rejoin": None}
+        calls.append(call)
+        try:
+            return run(self, **options)
+        except campaign_module._Rejoined as rejoin:
+            call["rejoin"] = rejoin.step
+            raise
+
+    monkeypatch.setattr(Simulator, "run", spy)
+    return calls
+
+
+def _chunk_matches_reference(system, env, faults, *, seed, max_steps):
+    """Run a chunk the way a worker does and compare every payload with
+    the full-run reference; return the shared golden run."""
+    faults = resolve_seeds(list(faults), seed)
+    try:
+        golden = golden_run(system, faults, env, max_steps=max_steps,
+                            campaign_seed=seed)
+    except ExecutionError as error:
+        # the golden run itself fails: so must the reference, alike
+        with pytest.raises(type(error),
+                           match="^" + re.escape(str(error)) + "$"):
+            _reference_golden(system, env, max_steps=max_steps,
+                              campaign_seed=seed)
+        return None
+    assert len(golden.checkpoints) <= 2 * len(faults)
+    reference = _reference_golden(system, env, max_steps=max_steps,
+                                  campaign_seed=seed)
+    assert golden.trace == reference
+    for fault in faults:
+        assert run_single_fault(
+            system, fault, env, max_steps=max_steps, campaign_seed=seed,
+            _golden=golden) == _reference_single_fault(
+                system, fault, env, max_steps=max_steps, campaign_seed=seed,
+                _golden=reference)
+    return golden
+
+
+def _matches_reference(system, spec, env, runs):
+    """Run one fault both ways; return the payload and how the faulty
+    run went (forked from, rejoined at)."""
+    payload = run_single_fault(system, spec, env)
+    faulty_run = runs[-1]
+    assert payload == _reference_single_fault(system, spec, env)
+    return payload, faulty_run
+
+
+class TestForkAndRejoin:
+    """A faulty run covers only where it can differ from the golden run;
+    its payload must equal the full run's, byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(ZOO))
+    def test_zoo_generated_faults(self, name, runs):
+        system, env = _design(name)
+        faults = generate_faults(system, 8, seed=5)
+        _chunk_matches_reference(system, env, faults, seed=5,
+                                 max_steps=10_000)
+        forked = [call for call in runs if call["fork"] is not None]
+        assert forked  # the zoo's auto windows open inside the golden run
+
+    def test_generated_designs(self, runs):
+        """Sixty mutated designs: unclean goldens, goldens that fail,
+        deadlocks and step limits all take part."""
+        config = GeneratorConfig(mutation_rate=0.3)
+        failed = unclean = 0
+        for seed in range(60):
+            case = generate_case(seed, config)
+            faults = generate_faults(case.system, 8, seed=seed)
+            golden = _chunk_matches_reference(
+                case.system, case.environment, faults, seed=seed,
+                max_steps=256)
+            if golden is None:
+                failed += 1
+            elif golden.trace.conflicts:
+                unclean += 1
+        assert failed and unclean
+        assert any(call["rejoin"] is not None for call in runs)
+
+    def test_rejoins_one_step_after_the_window(self, runs):
+        system, env = _design("gcd")
+        spec = FaultSpec("stuck_at", "ne0.o", value=1, start=1, end=3,
+                         seed=0)
+        payload, faulty_run = _matches_reference(system, spec, env, runs)
+        assert payload["verdict"] == "masked"
+        assert faulty_run == {"fork": 1, "rejoin": 4}
+
+    def test_open_ended_window_runs_in_full(self, runs):
+        system, env = _design("gcd")
+        spec = FaultSpec("stuck_at", "ne0.o", value=1, start=2, seed=0)
+        _payload, faulty_run = _matches_reference(system, spec, env, runs)
+        assert faulty_run == {"fork": None, "rejoin": None}
+
+    def test_window_after_the_golden_end_runs_in_full(self, runs):
+        system, env = _design("gcd")
+        spec = FaultSpec("token_loss", "s3_while", start=9999, end=10_001,
+                         seed=0)
+        payload, faulty_run = _matches_reference(system, spec, env, runs)
+        assert payload["first_injection_step"] is None
+        assert faulty_run == {"fork": None, "rejoin": None}
+
+    def test_watchdog_halt_inside_the_forked_segment(self, runs):
+        system, env = _design("counter")
+        spec = FaultSpec("bit_flip", "reg_limit.q", bit=20, start=3, end=3,
+                         once=True, seed=0)
+        payload, faulty_run = _matches_reference(system, spec, env, runs)
+        assert payload["detected_by"] == ["RT005"]
+        assert faulty_run == {"fork": 3, "rejoin": None}
+
+    def test_probabilistic_fault(self, runs):
+        system, env = _design("gcd")
+        for seed in range(6):
+            spec = FaultSpec("guard_invert", "t_exit6", start=2, end=12,
+                             probability=0.3, seed=seed)
+            _payload, faulty_run = _matches_reference(system, spec, env,
+                                                      runs)
+            assert faulty_run["fork"] == 2
+
+    @pytest.mark.parametrize("seed,dirt", [(4, "conflict"), (13, "unsafe")])
+    def test_unclean_golden_falls_back(self, seed, dirt, runs):
+        case = generate_case(seed, GeneratorConfig(mutation_rate=0.3))
+        faults = resolve_seeds(generate_faults(case.system, 8, seed=seed),
+                               seed)
+        golden = golden_run(case.system, faults, case.environment,
+                            max_steps=256, campaign_seed=seed)
+        assert bool(golden.trace.conflicts) == (dirt == "conflict")
+        assert golden.checkpoints == {}
+        del runs[:]
+        _chunk_matches_reference(case.system, case.environment, faults,
+                                 seed=seed, max_steps=256)
+        assert all(call["fork"] is None for call in runs)
+
+    def test_forked_monitor_state_equals_full_run(self):
+        """At ``start`` the forked run's simulator and monitor state is
+        the full run's: the exactness premise of forking."""
+        system, env = _design("gcd")
+        spec = FaultSpec("stuck_at", "ne0.o", value=1, start=5, end=7,
+                         seed=0)
+        golden = golden_run(system, [spec], env)
+
+        class Probe(SimHook):
+            def __init__(self, monitors):
+                self.monitors = monitors
+                self.seen = None
+
+            def pre_step(self, sim, step, marking):
+                if step == spec.start:
+                    self.seen = (sim.checkpoint(), [
+                        (type(m).__name__, list(m.findings),
+                         getattr(m, "_cursor", None),
+                         set(getattr(m, "_reported", ())))
+                        for m in self.monitors])
+
+        states = []
+        for fork in (None, golden.checkpoints[spec.start]):
+            monitors = standard_monitors(
+                watchdog_budget(golden.trace.step_count, 10_000))
+            probe = Probe(monitors)
+            Simulator(system, env.fork(), SeededMaximalPolicy(0),
+                      strict=False,
+                      hooks=[FaultInjector([spec]), *monitors, probe]).run(
+                          max_steps=10_000, on_limit="return",
+                          from_checkpoint=fork)
+            states.append(probe.seen)
+        assert states[0] is not None
+        assert states[0] == states[1]
+
+
+_HASHSEED_CAMPAIGN = """
+import json, sys
+sys.path.insert(0, {src!r})
+from repro.faults import generate_faults, run_campaign
+from repro.fuzz.generate import GeneratorConfig, generate_case
+
+case = generate_case(170, GeneratorConfig(mutation_rate=0.3))
+report = run_campaign(case.system, generate_faults(case.system, 4, seed=0),
+                      case.environment, seed=0, max_steps=256)
+print(json.dumps(report.to_dict(), sort_keys=True))
+"""
+
+
+def test_loop_message_independent_of_hash_seed():
+    """A combinational loop's message lands in chunk payloads: it must
+    name the loop the same way in every process."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        repro.__file__)))
+    outputs = set()
+    for seed in (1, 4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASHSEED_CAMPAIGN.format(src=src)],
+            env=env, capture_output=True, text=True, check=True,
+            timeout=300)
+        outputs.add(proc.stdout)
+    (output,) = outputs
+    assert "combinational loop" in output
