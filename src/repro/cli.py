@@ -11,15 +11,11 @@ Commands
     — no reachability enumeration — and report diagnostics with stable
     rule ids; exits 1 when findings at/above ``--fail-on`` remain.
 ``simulate DESIGN [--input name=v1,v2,…]… [--max-steps N] [--profile]
-[--profile-json PATH] [--seed N] [--checkpoint-dir DIR
---checkpoint-every N] [--resume] [--backend interpreter|vector]``
+[--profile-json PATH] [--seed N] [--backend interpreter|vector]``
     Execute against an environment and print the external events;
     ``--profile`` adds step/evaluation/phase-time metrics
     (``--profile-json`` emits them machine-readable, ``--seed`` resolves
-    firing choice through a seeded RNG).
-    ``--checkpoint-every`` persists durable snapshots into
-    ``--checkpoint-dir``; ``--resume`` continues from the newest intact
-    one with a byte-identical trace.  ``--backend vector`` runs the
+    firing choice through a seeded RNG).  ``--backend vector`` runs the
     compiled vector backend (:mod:`repro.semantics.vector`) instead of
     the interpreter — same trace, compiled execution.
 ``faults DESIGN [--fault SPEC]… [--faults-file PATH] [--auto N]
@@ -272,42 +268,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         from .semantics import SeededMaximalPolicy
 
         policy = SeededMaximalPolicy(args.seed)
-    hooks = []
-    checkpoint = None
-    if args.resume and not args.checkpoint_dir:
-        raise ReproError("--resume requires --checkpoint-dir")
-    if args.checkpoint_every and not args.checkpoint_dir:
-        raise ReproError("--checkpoint-every requires --checkpoint-dir")
-    if args.checkpoint_dir:
-        from .runtime.durable import CheckpointHook, CheckpointStore
-
-        store = CheckpointStore(args.checkpoint_dir)
-        if args.checkpoint_every:
-            hooks.append(CheckpointHook(store, args.checkpoint_every))
-        if args.resume:
-            checkpoint = store.load_latest()
-            if checkpoint is not None:
-                print(f"resuming from checkpoint at step {checkpoint.step}")
-            else:
-                print("no usable checkpoint found; starting fresh")
     if args.backend == "vector":
         for flag, present in (("--profile", args.profile),
-                              ("--profile-json", bool(args.profile_json)),
-                              ("--checkpoint-dir",
-                               bool(args.checkpoint_dir))):
+                              ("--profile-json", bool(args.profile_json))):
             if present:
                 raise ReproError(
                     f"{flag} is an interpreter-backend option; it cannot "
                     "be combined with --backend vector")
-    if hooks or checkpoint is not None:
-        from .semantics.simulator import Simulator
-
-        kwargs = {"policy": policy} if policy is not None else {}
-        sim = Simulator(system, env, hooks=hooks, **kwargs)
-        trace = sim.run(max_steps=args.max_steps, from_checkpoint=checkpoint)
-    else:
-        trace = simulate(system, env, max_steps=args.max_steps,
-                         policy=policy, backend=args.backend)
+    trace = simulate(system, env, max_steps=args.max_steps,
+                     policy=policy, backend=args.backend)
     print(trace.summary())
     for event in trace.events:
         print(f"  step {event.end:4d}  {event}")
@@ -872,16 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None,
                        help="resolve firing choice through a seeded RNG "
                             "(reproducible nondeterminism)")
-    p_sim.add_argument("--checkpoint-dir", metavar="DIR",
-                       help="rotating durable checkpoint store for this "
-                            "run (see --checkpoint-every / --resume)")
-    p_sim.add_argument("--checkpoint-every", type=int, default=0,
-                       metavar="N",
-                       help="persist a checkpoint every N steps into "
-                            "--checkpoint-dir")
-    p_sim.add_argument("--resume", action="store_true",
-                       help="resume from the newest intact checkpoint in "
-                            "--checkpoint-dir")
     p_sim.add_argument("--backend", choices=("interpreter", "vector"),
                        default="interpreter",
                        help="execution backend: the two-phase interpreter "

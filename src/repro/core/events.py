@@ -86,10 +86,7 @@ class EventStructure:
     # ------------------------------------------------------------------
     def value_sequences(self) -> dict[str, tuple[Value, ...]]:
         """Per-arc value sequences in occurrence order."""
-        sequences: dict[str, list[Value]] = {}
-        for event in sorted(self.events, key=lambda e: (e.arc, e.index)):
-            sequences.setdefault(event.arc, []).append(event.value)
-        return {arc: tuple(values) for arc, values in sequences.items()}
+        return value_sequences(self.events)
 
     def keys(self) -> frozenset[EventKey]:
         return frozenset(event.key for event in self.events)
@@ -148,6 +145,21 @@ class EventStructure:
 
     def __len__(self) -> int:
         return len(self.events)
+
+
+def value_sequences(events: Iterable[ExternalEvent]
+                    ) -> dict[str, tuple[Value, ...]]:
+    """Per-arc value sequences of ``events`` in ``(arc, index)`` order.
+
+    What :meth:`EventStructure.value_sequences` reports for the structure
+    built from the same events, without building the precedence and
+    concurrency relations.  Ties on ``(arc, index)`` keep the structure's
+    canonical ``(end, start)`` order.
+    """
+    sequences: dict[str, list[Value]] = {}
+    for event in sorted(events, key=lambda e: (e.arc, e.index, e.end, e.start)):
+        sequences.setdefault(event.arc, []).append(event.value)
+    return {arc: tuple(values) for arc, values in sequences.items()}
 
 
 def build_event_structure(

@@ -28,12 +28,10 @@ missing is a job engine, and this package is it:
     cache hit rate, and aggregated simulator :class:`~repro.semantics.
     profile.SimMetrics` across the batch.
 :mod:`repro.runtime.durable`
-    The crash-safety layer: versioned, integrity-hashed
-    :class:`CheckpointStore` snapshots (atomic fsynced writes, rotation,
-    corruption fallback), the :class:`CheckpointHook` that persists them
-    every N steps, and the fsync-per-record write-ahead :class:`Journal`
-    with torn-tail recovery (:func:`read_journal`), so simulations,
-    batches, and campaigns resume across process restarts.
+    The crash-safety layer: atomic fsynced writes
+    (:func:`atomic_write_text`) and the fsync-per-record write-ahead
+    :class:`Journal` with torn-tail recovery (:func:`read_journal`), so
+    batches and campaigns resume across process restarts.
 :mod:`repro.runtime.resilience`
     :class:`GracefulShutdown`, converting SIGTERM/SIGINT into a
     cooperative stop event the engine polls.
@@ -52,12 +50,8 @@ Quick tour::
 
 from .cache import ResultCache
 from .durable import (
-    CheckpointHook,
-    CheckpointStore,
     Journal,
     atomic_write_text,
-    checkpoint_from_dict,
-    checkpoint_to_dict,
     dispatch_record,
     iter_settled,
     read_journal,
@@ -93,12 +87,8 @@ __all__ = [
     "BatchResult",
     "ExecutionEngine",
     "ResultCache",
-    "CheckpointStore",
-    "CheckpointHook",
     "Journal",
     "atomic_write_text",
-    "checkpoint_to_dict",
-    "checkpoint_from_dict",
     "read_journal",
     "dispatch_record",
     "settle_record",

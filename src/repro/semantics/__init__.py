@@ -49,7 +49,6 @@ from .vector import (
     BatchResult,
     CompiledSystem,
     Lane,
-    VectorCheckpoint,
     VectorSimulator,
     compile_system,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "observed_conflicts",
     "CompiledSystem",
     "VectorSimulator",
-    "VectorCheckpoint",
     "BatchResult",
     "Lane",
     "compile_system",

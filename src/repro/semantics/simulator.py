@@ -67,11 +67,11 @@ environment cursors)`` — and :meth:`Simulator.run` accepts
 trace extends the original run exactly (same events, same latches, same
 final state) as if it had never been interrupted.  Snapshots also
 capture a seeded firing policy's RNG stream position, so resumed
-nondeterminism replays deterministically.  :mod:`repro.runtime.durable`
-serialises checkpoints to disk (versioned, integrity-hashed) and offers
-:class:`~repro.runtime.durable.CheckpointHook`, a :class:`SimHook` that
-persists a snapshot every N steps — the crash-safety story for
-long-running simulations.
+nondeterminism replays deterministically.  Checkpoints live in memory
+and only on this interpreter: fault campaigns fork every faulty run from
+a golden-run checkpoint (:mod:`repro.faults.campaign`).  On
+``backend="vector"`` both calls raise
+:class:`~repro.errors.DefinitionError`.
 """
 
 from __future__ import annotations
@@ -96,6 +96,10 @@ from .values import UNDEF, Value, truthy
 
 #: One conflict-analysis entry: (conflicted input port, record detail).
 _ConflictEntry = tuple[PortId, str]
+
+_VECTOR_CHECKPOINT_ERROR = (
+    "the vector backend does not support checkpoint/resume; use "
+    "backend='interpreter' for checkpointed runs")
 
 
 @dataclass(frozen=True)
@@ -245,8 +249,8 @@ class Simulator:
         :class:`repro.semantics.vector.VectorSimulator` (single-lane
         batch, scalar engine) — byte-identical traces, typically an
         order of magnitude faster on loop-heavy designs.  The vector
-        backend supports no hooks and only the maximal-step,
-        sequential, and seeded-maximal policies.
+        backend supports no hooks, no checkpoints, and only the
+        maximal-step, sequential, and seeded-maximal policies.
     """
 
     system: DataControlSystem
@@ -609,6 +613,8 @@ class Simulator:
             raise DefinitionError(
                 "the vector backend does not support simulator hooks; "
                 "use backend='interpreter' for hook-instrumented runs")
+        if from_checkpoint is not None:
+            raise DefinitionError(_VECTOR_CHECKPOINT_ERROR)
         from .vector import Lane, VectorSimulator
         if self._vector_sim is None:
             self._vector_sim = VectorSimulator(self.system,
@@ -616,7 +622,7 @@ class Simulator:
                                                mode="scalar")
         result = self._vector_sim.run(
             [Lane(self.environment, self.policy)], max_steps=max_steps,
-            on_limit=on_limit, from_checkpoint=from_checkpoint)
+            on_limit=on_limit)
         return result.trace(0)
 
     def checkpoint(self) -> Checkpoint:
@@ -628,11 +634,7 @@ class Simulator:
         state the next run would continue from).
         """
         if self.backend == "vector":
-            if self._vector_sim is None:
-                raise DefinitionError(
-                    "no vector-backend run has happened yet; nothing to "
-                    "snapshot")
-            return self._vector_sim.checkpoint().lane(0)
+            raise DefinitionError(_VECTOR_CHECKPOINT_ERROR)
         rng = getattr(self.policy, "_rng", None)
         return Checkpoint(
             step=self._current_step,

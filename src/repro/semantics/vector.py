@@ -27,12 +27,12 @@ numeric form —
 system.  Two engines share the compiled plans:
 
 * the **scalar engine** (``mode="scalar"``) runs each lane through the
-  compiled tape with plain Python values — exact bignum arithmetic,
-  checkpoint/resume support, and byte-identical traces versus the
-  interpreter (this is what ``backend="vector"`` on a single
+  compiled tape with plain Python values — exact bignum arithmetic and
+  byte-identical traces versus the interpreter (this is what
+  ``backend="vector"`` on a single
   :class:`~repro.semantics.simulator.Simulator` uses);
 * the **numpy engine** (``mode="numpy"``, automatic for batches of
-  ≥ 8 fresh lanes) keeps the register file as a ``(registers, lanes)``
+  ≥ 8 lanes) keeps the register file as a ``(registers, lanes)``
   ``int64``/``bool`` pair and executes every tape instruction across
   all lanes of a plan-group in one array op, grouping lanes by
   ``(plan, guard bits)`` so divergent control flow stays correct.
@@ -49,8 +49,11 @@ a result might not fit in 64 bits; a value that cannot be *stored* in
 engine or the interpreter for bignum workloads).
 
 Unsupported in this backend (``DefinitionError``): simulator hooks
-(fault injectors perturb per-step state the compiler froze) and
-policies other than :class:`~repro.semantics.policies.MaximalStepPolicy`,
+(fault injectors perturb per-step state the compiler froze), checkpoint
+and resume (the interpreter's
+:meth:`~repro.semantics.simulator.Simulator.checkpoint` is the one
+checkpoint mechanism), and policies other than
+:class:`~repro.semantics.policies.MaximalStepPolicy`,
 :class:`~repro.semantics.policies.SequentialPolicy` and
 :class:`~repro.semantics.policies.SeededMaximalPolicy`.
 """
@@ -74,7 +77,6 @@ from .environment import Environment
 from .policies import (FiringPolicy, MaximalStepPolicy, SeededMaximalPolicy,
                        SequentialPolicy)
 from .profile import SimMetrics
-from .simulator import Checkpoint
 from .trace import ConflictRecord, LatchRecord, Trace
 from .values import UNDEF, Value, as_word
 
@@ -750,7 +752,7 @@ def compile_system(system: DataControlSystem) -> CompiledSystem:
 
 
 # ---------------------------------------------------------------------------
-# lanes, checkpoints, results
+# lanes and results
 # ---------------------------------------------------------------------------
 @dataclass
 class Lane:
@@ -763,24 +765,6 @@ class Lane:
 
     environment: Environment = field(default_factory=Environment)
     policy: FiringPolicy = field(default_factory=MaximalStepPolicy)
-
-
-@dataclass(frozen=True)
-class VectorCheckpoint:
-    """Batch snapshot: one interpreter checkpoint per lane.
-
-    Per-lane entries are ordinary
-    :class:`~repro.semantics.simulator.Checkpoint` objects, so batch
-    state round-trips through the interpreter — a lane checkpointed
-    here can resume under ``Simulator.run(from_checkpoint=...)`` and
-    vice versa.
-    """
-
-    step: int
-    lanes: tuple[Checkpoint, ...]
-
-    def lane(self, index: int) -> Checkpoint:
-        return self.lanes[index]
 
 
 class BatchResult:
@@ -832,12 +816,10 @@ class BatchResult:
 class _ScalarLane:
     """Mutable per-lane state for the scalar engine."""
 
-    __slots__ = ("index", "regs", "plan", "activations", "counter",
-                 "event_index", "trace", "env", "kind", "rng", "step",
-                 "finished")
+    __slots__ = ("regs", "plan", "activations", "counter", "event_index",
+                 "trace", "env", "kind", "rng", "step", "finished")
 
-    def __init__(self, index: int) -> None:
-        self.index = index
+    def __init__(self) -> None:
         self.finished = False
 
 
@@ -853,10 +835,8 @@ class VectorSimulator:
         Same meaning as on the interpreter: runtime conflicts raise
         (per lane) instead of being recorded.
     mode:
-        ``"auto"`` (default: numpy for fresh batches of ≥ 8 lanes,
-        scalar otherwise), ``"scalar"``, or ``"numpy"``.  Resumed runs
-        always use the scalar engine — lanes resume from heterogeneous
-        steps, which breaks array lockstep.
+        ``"auto"`` (default: numpy for batches of ≥ 8 lanes, scalar
+        otherwise), ``"scalar"``, or ``"numpy"``.
     """
 
     #: auto mode switches to the numpy engine at this many lanes
@@ -871,13 +851,10 @@ class VectorSimulator:
                          else CompiledSystem(system))
         self.strict = strict
         self.mode = mode
-        self._last_lanes: list | None = None
-        self._last_step = 0
 
     # -- public API ------------------------------------------------------
     def run(self, lanes: Sequence[Lane], *, max_steps: int = 10_000,
             on_limit: str = "raise",
-            from_checkpoint: VectorCheckpoint | Checkpoint | None = None,
             capture_errors: bool = False) -> BatchResult:
         """Advance every lane to termination, deadlock, or the budget.
 
@@ -895,44 +872,21 @@ class VectorSimulator:
                 f"max_steps must be a positive step budget, got {max_steps}")
         lanes = list(lanes)
         kinds = [_policy_kind(lane.policy) for lane in lanes]
-        if isinstance(from_checkpoint, Checkpoint):
-            from_checkpoint = VectorCheckpoint(
-                step=from_checkpoint.step, lanes=(from_checkpoint,))
-        if from_checkpoint is not None and len(from_checkpoint.lanes) != len(lanes):
-            raise DefinitionError(
-                f"checkpoint carries {len(from_checkpoint.lanes)} lane(s) "
-                f"but the batch has {len(lanes)}")
         use_numpy = (self.mode == "numpy"
                      or (self.mode == "auto"
                          and len(lanes) >= self._NUMPY_THRESHOLD))
-        if from_checkpoint is not None:
-            use_numpy = False  # heterogeneous resume steps: lockstep breaks
         if not lanes:
             return BatchResult(0, 0.0)
         if use_numpy:
             return self._run_numpy(lanes, kinds, max_steps, on_limit,
                                    capture_errors)
         return self._run_scalar(lanes, kinds, max_steps, on_limit,
-                                from_checkpoint, capture_errors)
-
-    def checkpoint(self) -> VectorCheckpoint:
-        """Snapshot every lane of the last run (see :class:`VectorCheckpoint`).
-
-        Valid after :meth:`run` returned with ``on_limit="return"`` —
-        the same contract as the interpreter's checkpoint.
-        """
-        if self._last_lanes is None:
-            raise DefinitionError("no batch has run yet; nothing to snapshot")
-        return VectorCheckpoint(
-            step=self._last_step,
-            lanes=tuple(self._lane_checkpoint(entry)
-                        for entry in self._last_lanes))
+                                capture_errors)
 
     # -- scalar engine ---------------------------------------------------
-    def _fresh_scalar_lane(self, index: int, lane: Lane, kind: str
-                           ) -> _ScalarLane:
+    def _fresh_scalar_lane(self, lane: Lane, kind: str) -> _ScalarLane:
         comp = self.compiled
-        st = _ScalarLane(index)
+        st = _ScalarLane()
         st.regs = list(comp.initial_values)
         st.plan = comp.plan_for(comp.initial_marking)
         st.activations = {}
@@ -954,65 +908,29 @@ class VectorSimulator:
             st.regs[comp.input_regs[vertex]] = st.env.draw(vertex)
         return st
 
-    def _resumed_scalar_lane(self, index: int, lane: Lane, kind: str,
-                             cp: Checkpoint) -> _ScalarLane:
-        comp = self.compiled
-        st = _ScalarLane(index)
-        st.regs = list(comp.initial_values)
-        for pid, reg in comp.state_ports:
-            st.regs[reg] = cp.state.get(pid, UNDEF)
-        st.plan = comp.plan_for(cp.marking)
-        st.activations = {place: (ident, start)
-                         for place, ident, start in cp.activations}
-        st.counter = cp.activation_counter
-        st.event_index = dict(cp.event_index)
-        st.trace = Trace()
-        st.env = lane.environment
-        st.env.restore_cursors(cp.env_cursors)
-        st.kind = kind
-        st.rng = getattr(lane.policy, "_rng", None)
-        if cp.rng_state is not None and st.rng is not None:
-            st.rng.setstate(cp.rng_state)
-        st.step = cp.step
-        return st
-
     def _run_scalar(self, lanes, kinds, max_steps, on_limit,
-                    from_checkpoint, capture_errors) -> BatchResult:
+                    capture_errors) -> BatchResult:
         wall_start = perf_counter()
-        states: list[_ScalarLane] = []
         result = BatchResult(len(lanes), 0.0)
-        end_step = 0
         for i, (lane, kind) in enumerate(zip(lanes, kinds)):
             # lane setup draws the initial environment values, which can
             # itself raise (e.g. an exhausted stream under policy
             # "raise") — it must sit inside the capture scope or one bad
             # lane poisons the whole batch
-            st = None
             try:
-                if from_checkpoint is not None:
-                    st = self._resumed_scalar_lane(i, lane, kind,
-                                                   from_checkpoint.lanes[i])
-                else:
-                    st = self._fresh_scalar_lane(i, lane, kind)
+                st = self._fresh_scalar_lane(lane, kind)
                 self._drive_scalar_lane(st, max_steps, on_limit)
             except ReproError as error:
                 if not capture_errors:
                     raise
                 result._errors[i] = error
-                if st is not None:
-                    st.finished = True
             else:
                 result._traces[i] = st.trace
-            if st is not None:
-                states.append(st)
-                end_step = max(end_step, st.step)
         wall = perf_counter() - wall_start
         result._wall = wall
-        for st in states:
-            if st.trace.metrics is not None:
-                st.trace.metrics.wall_seconds = wall
-        self._last_lanes = states
-        self._last_step = end_step
+        for trace in result._traces:
+            if trace is not None and trace.metrics is not None:
+                trace.metrics.wall_seconds = wall
         return result
 
     def _drive_scalar_lane(self, st: _ScalarLane, max_steps: int,
@@ -1154,23 +1072,6 @@ class VectorSimulator:
             regs[reg] = st.env.draw(vertex)
         st.plan = effects.next_plan
         return False
-
-    def _lane_checkpoint(self, st) -> Checkpoint:
-        comp = self.compiled
-        if isinstance(st, _ScalarLane):
-            return Checkpoint(
-                step=st.step,
-                marking=st.plan.marking,
-                state={pid: st.regs[reg] for pid, reg in comp.state_ports},
-                activations=tuple(sorted(
-                    (place, ident, start)
-                    for place, (ident, start) in st.activations.items())),
-                activation_counter=st.counter,
-                event_index=dict(st.event_index),
-                env_cursors=st.env.cursors(),
-                rng_state=st.rng.getstate() if st.rng is not None else None,
-            )
-        return st  # numpy engine stores ready-made Checkpoint objects
 
     # -- numpy engine ----------------------------------------------------
     def _run_numpy(self, lanes, kinds, max_steps, on_limit,
@@ -1339,13 +1240,6 @@ class VectorSimulator:
         result = BatchResult(n, wall)
         result._extract = self._make_extractor(
             n, chunks, finals, errors, values, defined, wall)
-        # checkpoint support: freeze per-lane interpreter checkpoints
-        self._last_step = step
-        self._last_lanes = [
-            self._numpy_checkpoint(j, plan_ids, finals, values, defined,
-                                   act_ident, act_start, counters,
-                                   event_index, envs, rngs, kinds, step)
-            for j in range(n)]
         return result
 
     def _numpy_subgroup(self, plan, kind, bits, sel2, ix2, step, values,
@@ -1581,29 +1475,3 @@ class VectorSimulator:
                 result._traces[j] = trace
 
         return extract
-
-    def _numpy_checkpoint(self, j, plan_ids, finals, values, defined,
-                          act_ident, act_start, counters, event_index,
-                          envs, rngs, kinds, end_step) -> Checkpoint:
-        comp = self.compiled
-        final = finals[j]
-        plan = (final["plan"] if final is not None
-                else comp.plan_registry[int(plan_ids[j])])
-        cp_step = final["step"] if final is not None else end_step
-        marking = plan.marking
-        rng = rngs[j]
-        return Checkpoint(
-            step=cp_step,
-            marking=marking,
-            state={pid: (int(values[reg, j]) if defined[reg, j] else UNDEF)
-                   for pid, reg in comp.state_ports},
-            activations=tuple(sorted(
-                (place, int(act_ident[comp.place_index[place], j]),
-                 int(act_start[comp.place_index[place], j]))
-                for place in marking.marked_places())),
-            activation_counter=int(counters[j]),
-            event_index={arc: int(col[j])
-                         for arc, col in event_index.items() if col[j] > 0},
-            env_cursors=envs[j].cursors(),
-            rng_state=rng.getstate() if rng is not None else None,
-        )

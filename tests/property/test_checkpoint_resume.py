@@ -1,22 +1,19 @@
-"""Zoo-wide property: durable checkpoint resume is byte-identical.
+"""Zoo-wide property: checkpoint resume is byte-identical.
 
 For every design in the zoo: run uninterrupted; then run again, stop
-partway, serialise the checkpoint through JSON (the actual on-disk
-format), restore it into a *fresh* process-like context (new Simulator,
-forked environment), and continue.  The prefix plus the continuation
-must reproduce the uninterrupted run exactly — events, latches, step
-count, termination flags — including under a seeded (RNG-backed) firing
-policy, whose stream position travels inside the checkpoint.
+partway, and continue from the in-memory checkpoint in a *fresh*
+simulator (new Simulator, new environment).  The prefix plus the
+continuation must reproduce the uninterrupted run exactly — events,
+latches, step count, termination flags — including under a seeded
+(RNG-backed) firing policy, whose stream position travels inside the
+checkpoint.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.designs import all_designs
-from repro.runtime.durable import checkpoint_from_dict, checkpoint_to_dict
 from repro.semantics import SeededMaximalPolicy
 from repro.semantics.simulator import Simulator
 
@@ -57,13 +54,9 @@ def test_resume_matches_uninterrupted(zoo, name, seed):
     checkpoint = first.checkpoint()
     assert checkpoint.step == prefix.step_count
 
-    # through the real serialisation boundary: dict -> JSON -> dict
-    wire = json.loads(json.dumps(checkpoint_to_dict(checkpoint)))
-    restored = checkpoint_from_dict(wire)
-
     second = _simulator(zoo, name, seed)
     tail = second.run(max_steps=MAX_STEPS, on_limit="return",
-                      from_checkpoint=restored)
+                      from_checkpoint=checkpoint)
 
     combined = {
         "events": ([(e.end, str(e)) for e in prefix.events]
@@ -79,9 +72,17 @@ def test_resume_matches_uninterrupted(zoo, name, seed):
 
 @pytest.mark.parametrize("name", _DESIGNS)
 def test_seeded_rng_state_travels_in_checkpoint(zoo, name):
+    golden = _simulator(zoo, name, seed=3)
+    golden.run(max_steps=MAX_STEPS, on_limit="return")
+
     sim = _simulator(zoo, name, seed=3)
     sim.run(max_steps=5, on_limit="return")
     checkpoint = sim.checkpoint()
-    assert checkpoint.rng_state is not None
-    wire = json.loads(json.dumps(checkpoint_to_dict(checkpoint)))
-    assert checkpoint_from_dict(wire).rng_state == checkpoint.rng_state
+    assert checkpoint.rng_state == sim.policy._rng.getstate()
+
+    # a differently seeded policy resumes on the checkpoint's stream
+    # position, not its own seed
+    other = _simulator(zoo, name, seed=99)
+    other.run(max_steps=MAX_STEPS, on_limit="return",
+              from_checkpoint=checkpoint)
+    assert other.policy._rng.getstate() == golden.policy._rng.getstate()

@@ -1,4 +1,4 @@
-"""Tests for repro.runtime.durable: checkpoints, store, journal."""
+"""Tests for repro.runtime.durable: atomic writes and the journal."""
 
 from __future__ import annotations
 
@@ -6,193 +6,25 @@ import json
 
 import pytest
 
-from repro.designs import ZOO
-from repro.errors import DefinitionError, PersistenceError
+from repro.errors import PersistenceError
 from repro.runtime.durable import (
-    CheckpointHook,
-    CheckpointStore,
     Journal,
     atomic_write_text,
-    checkpoint_from_dict,
-    checkpoint_to_dict,
     dispatch_record,
     iter_settled,
     read_journal,
     settle_record,
 )
-from repro.semantics import SeededMaximalPolicy
-from repro.semantics.simulator import Simulator
-
-
-def _gcd_sim(seed=None):
-    design = ZOO["gcd"]
-    policy = SeededMaximalPolicy(seed) if seed is not None else None
-    kwargs = {"policy": policy} if policy is not None else {}
-    return Simulator(design.build(), design.environment(), **kwargs)
-
-
-def _events(trace):
-    return [(event.end, str(event)) for event in trace.events]
 
 
 # ---------------------------------------------------------------------------
-# checkpoint serialisation
+# atomic writes
 # ---------------------------------------------------------------------------
-class TestCheckpointRoundtrip:
-    def test_json_roundtrip_is_identity(self):
-        sim = _gcd_sim()
-        sim.run(max_steps=5, on_limit="return")
-        ckpt = sim.checkpoint()
-        data = json.loads(json.dumps(checkpoint_to_dict(ckpt)))
-        restored = checkpoint_from_dict(data)
-        assert restored.step == ckpt.step
-        assert dict(restored.marking) == dict(ckpt.marking)
-        assert restored.state == ckpt.state
-        assert restored.activations == ckpt.activations
-        assert restored.activation_counter == ckpt.activation_counter
-        assert restored.event_index == ckpt.event_index
-        assert restored.env_cursors == ckpt.env_cursors
-
-    def test_undef_values_survive(self):
-        # fresh simulator: INPUT/OUTPUT record ports start UNDEF
-        sim = _gcd_sim()
-        sim.run(max_steps=1, on_limit="return")
-        ckpt = sim.checkpoint()
-        data = json.loads(json.dumps(checkpoint_to_dict(ckpt)))
-        restored = checkpoint_from_dict(data)
-        assert restored.state == ckpt.state  # UNDEF identity preserved
-
-    def test_rng_state_roundtrip(self):
-        sim = _gcd_sim(seed=11)
-        sim.run(max_steps=4, on_limit="return")
-        ckpt = sim.checkpoint()
-        assert ckpt.rng_state is not None
-        data = json.loads(json.dumps(checkpoint_to_dict(ckpt)))
-        restored = checkpoint_from_dict(data)
-        assert restored.rng_state == ckpt.rng_state  # tuples, not lists
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(PersistenceError, match="format"):
-            checkpoint_from_dict({"format": 999})
-
-    def test_malformed_payload_rejected(self):
-        with pytest.raises(PersistenceError, match="malformed"):
-            checkpoint_from_dict({"format": 1, "step": 0})
-
-
-# ---------------------------------------------------------------------------
-# atomic writes and the checkpoint store
-# ---------------------------------------------------------------------------
-class TestCheckpointStore:
+class TestAtomicWrite:
     def test_atomic_write_creates_parents(self, tmp_path):
         target = tmp_path / "a" / "b" / "x.txt"
         atomic_write_text(target, "hello")
         assert target.read_text() == "hello"
-
-    def test_save_load_roundtrip(self, tmp_path):
-        sim = _gcd_sim()
-        sim.run(max_steps=5, on_limit="return")
-        ckpt = sim.checkpoint()
-        store = CheckpointStore(tmp_path)
-        path = store.save(ckpt)
-        assert path.exists()
-        loaded = store.load(path)
-        assert loaded.step == ckpt.step
-        assert loaded.state == ckpt.state
-
-    def test_rotation_keeps_newest(self, tmp_path):
-        sim = _gcd_sim()
-        store = CheckpointStore(tmp_path, keep=2)
-        for steps in (2, 4, 6, 8):
-            fresh = _gcd_sim()
-            fresh.run(max_steps=steps, on_limit="return")
-            store.save(fresh.checkpoint())
-        names = [path.name for path in store.paths()]
-        assert names == ["ckpt-0000000006.json", "ckpt-0000000008.json"]
-
-    def test_keep_must_allow_fallback(self, tmp_path):
-        with pytest.raises(DefinitionError):
-            CheckpointStore(tmp_path, keep=1)
-
-    def test_load_latest_empty_store(self, tmp_path):
-        assert CheckpointStore(tmp_path).load_latest() is None
-
-    def test_corrupt_latest_falls_back(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        for steps in (3, 6):
-            sim = _gcd_sim()
-            sim.run(max_steps=steps, on_limit="return")
-            store.save(sim.checkpoint())
-        newest = store.paths()[-1]
-        newest.write_text(newest.read_text()[:-40] + "garbage")
-        loaded = store.load_latest()
-        assert loaded is not None
-        assert loaded.step == 3  # fell back to the previous good snapshot
-        assert store.corrupt_skipped == 1
-
-    def test_digest_mismatch_detected(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        sim = _gcd_sim()
-        sim.run(max_steps=3, on_limit="return")
-        path = store.save(sim.checkpoint())
-        envelope = json.loads(path.read_text())
-        envelope["checkpoint"]["step"] = 999  # bit-rot the body
-        path.write_text(json.dumps(envelope))
-        with pytest.raises(PersistenceError, match="integrity"):
-            store.load(path)
-
-
-# ---------------------------------------------------------------------------
-# the periodic-checkpoint hook
-# ---------------------------------------------------------------------------
-class TestCheckpointHook:
-    def test_interval_must_be_positive(self, tmp_path):
-        with pytest.raises(DefinitionError):
-            CheckpointHook(CheckpointStore(tmp_path), 0)
-
-    def test_saves_every_n_steps(self, tmp_path):
-        store = CheckpointStore(tmp_path, keep=16)
-        hook = CheckpointHook(store, 3)
-        design = ZOO["gcd"]
-        sim = Simulator(design.build(), design.environment(), hooks=[hook])
-        sim.run(max_steps=100, on_limit="return")
-        assert hook.saved_steps
-        assert all(step % 3 == 0 for step in hook.saved_steps)
-        assert len(store.paths()) == len(hook.saved_steps)
-
-    def test_resume_from_hook_snapshot_matches_uninterrupted(self, tmp_path):
-        design = ZOO["gcd"]
-        golden = Simulator(design.build(), design.environment())
-        full = golden.run(max_steps=100, on_limit="return")
-
-        store = CheckpointStore(tmp_path, keep=16)
-        hook = CheckpointHook(store, 4)
-        first = Simulator(design.build(), design.environment(), hooks=[hook])
-        first.run(max_steps=100, on_limit="return")
-
-        ckpt = store.load_latest()
-        assert ckpt is not None
-        resumed = Simulator(design.build(), design.environment())
-        tail = resumed.run(max_steps=100, on_limit="return",
-                           from_checkpoint=ckpt)
-        prefix = [e for e in full.events if e.end <= ckpt.step]
-        assert ([(e.end, str(e)) for e in prefix]
-                + _events(tail) == _events(full))
-        assert tail.step_count == full.step_count
-
-    def test_hook_leaves_trace_identical(self, tmp_path):
-        store = CheckpointStore(tmp_path, keep=16)
-        hook = CheckpointHook(store, 5)
-        assert not hook.perturbs_values
-        design = ZOO["gcd"]
-        hooked = Simulator(design.build(), design.environment(),
-                           hooks=[hook]).run()
-        plain = Simulator(design.build(), design.environment()).run()
-        assert hook.saved_steps
-        assert hooked == plain
-        assert hooked.events == plain.events
-        assert hooked.latches == plain.latches
-        assert hooked.final_state == plain.final_state
 
 
 # ---------------------------------------------------------------------------

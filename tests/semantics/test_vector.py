@@ -3,11 +3,14 @@
 The contract under test (see :mod:`repro.semantics.vector`): compiling
 a system once and advancing lanes in batch — with either the scalar or
 the numpy engine — must reproduce the interpreter's traces exactly, on
-every zoo design, under every supported policy, through checkpoints,
-and in every degenerate shape (empty batch, single lane).
+every zoo design, under every supported policy, across an interpreter
+checkpoint split, and in every degenerate shape (empty batch, single
+lane).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -25,7 +28,6 @@ from repro.semantics import (
     SeededMaximalPolicy,
     SequentialPolicy,
     Simulator,
-    VectorCheckpoint,
     VectorSimulator,
     compile_system,
     simulate,
@@ -165,72 +167,23 @@ class TestWideFork:
 
 
 class TestCheckpoints:
-    def _split_vs_straight(self, system, env_factory, budget):
-        """Interpreter and vector backends must agree across a split."""
-        interp = Simulator(system, env_factory(), strict=False)
-        interp.run(max_steps=budget, on_limit="return")
-        cp = interp.checkpoint()
-        ref = interp.run(max_steps=500, on_limit="return",
-                         from_checkpoint=cp)
-
-        vsim = VectorSimulator(system, strict=False)
-        got = vsim.run([Lane(env_factory())], max_steps=500,
-                       on_limit="return", from_checkpoint=cp).trace(0)
-        assert traces_equivalent(got, ref)
-
     def test_resume_interpreter_checkpoint(self, zoo):
+        """An interpreter run split at a checkpoint, head plus resumed
+        tail, equals the vector backend's uninterrupted run."""
         for name in ("counter", "gcd", "traffic"):
             design, system = zoo[name]
-            self._split_vs_straight(system, design.environment, 5)
-
-    def test_batch_checkpoint_roundtrip(self):
-        design = get_design("counter")
-        system = design.build()
-        limits = [6, 9, 12]
-        lanes = lambda: [Lane(design.environment({"limit_in": [n]}))
-                         for n in limits]
-        vsim = VectorSimulator(system, mode="scalar")
-        vsim.run(lanes(), max_steps=4, on_limit="return")
-        cp = vsim.checkpoint()
-        assert isinstance(cp, VectorCheckpoint)
-        resumed = vsim.run(lanes(), max_steps=500, on_limit="return",
-                           from_checkpoint=cp)
-        for i, n in enumerate(limits):
-            interp = Simulator(system,
-                               design.environment({"limit_in": [n]}),
-                               strict=False)
-            interp.run(max_steps=4, on_limit="return")
-            ref = interp.run(max_steps=500, on_limit="return",
-                             from_checkpoint=interp.checkpoint())
-            assert traces_equivalent(resumed.trace(i), ref)
-
-    def test_vector_checkpoint_resumes_under_interpreter(self):
-        """Per-lane entries are plain interpreter checkpoints."""
-        design = get_design("counter")
-        system = design.build()
-        vsim = VectorSimulator(system, mode="scalar")
-        vsim.run([Lane(design.environment({"limit_in": [8]}))],
-                 max_steps=4, on_limit="return")
-        lane_cp = vsim.checkpoint().lane(0)
-        got = Simulator(system,
-                        design.environment({"limit_in": [8]})).run(
-                            max_steps=500, from_checkpoint=lane_cp)
-        interp = Simulator(system, design.environment({"limit_in": [8]}))
-        interp.run(max_steps=4, on_limit="return")
-        ref = interp.run(max_steps=500,
-                         from_checkpoint=interp.checkpoint())
-        assert traces_equivalent(got, ref)
-
-    def test_lane_count_mismatch(self):
-        design = get_design("counter")
-        system = design.build()
-        vsim = VectorSimulator(system, mode="scalar")
-        vsim.run([Lane(design.environment())], max_steps=3,
-                 on_limit="return")
-        cp = vsim.checkpoint()
-        with pytest.raises(DefinitionError, match="1 lane"):
-            vsim.run([Lane(design.environment()),
-                      Lane(design.environment())], from_checkpoint=cp)
+            interp = Simulator(system, design.environment(), strict=False)
+            head = interp.run(max_steps=5, on_limit="return")
+            tail = interp.run(max_steps=500, on_limit="return",
+                              from_checkpoint=interp.checkpoint())
+            split = replace(tail, events=head.events + tail.events,
+                            steps=head.steps + tail.steps,
+                            latches=head.latches + tail.latches,
+                            conflicts=head.conflicts + tail.conflicts)
+            straight = VectorSimulator(system, strict=False).run(
+                [Lane(design.environment())], max_steps=500,
+                on_limit="return").trace(0)
+            assert traces_equivalent(split, straight), name
 
 
 class TestValidationAndErrors:
@@ -323,20 +276,21 @@ class TestSimulatorBackend:
         with pytest.raises(DefinitionError, match="hooks"):
             sim.run(max_steps=10)
 
-    def test_checkpoint_through_backend(self):
+    def test_checkpoint_rejected(self):
+        """Checkpoint/resume is interpreter-only: on the vector backend
+        both calls fail closed before any stepping."""
         design = get_design("counter")
         system = design.build()
-        sim = Simulator(system, design.environment({"limit_in": [9]}),
-                        backend="vector")
-        with pytest.raises(DefinitionError, match="nothing to snapshot"):
-            sim.checkpoint()
-        sim.run(max_steps=4, on_limit="return")
-        cp = sim.checkpoint()
-        got = Simulator(system, design.environment({"limit_in": [9]}),
-                        backend="vector").run(max_steps=500,
-                                              from_checkpoint=cp)
         interp = Simulator(system, design.environment({"limit_in": [9]}))
         interp.run(max_steps=4, on_limit="return")
-        ref = interp.run(max_steps=500,
-                         from_checkpoint=interp.checkpoint())
-        assert traces_equivalent(got, ref)
+        cp = interp.checkpoint()
+        env = design.environment({"limit_in": [9]})
+        sim = Simulator(system, env, backend="vector")
+        with pytest.raises(DefinitionError, match="backend='interpreter'"):
+            sim.checkpoint()
+        with pytest.raises(DefinitionError, match="backend='interpreter'"):
+            sim.run(max_steps=500, from_checkpoint=cp)
+        assert env.cursors() == design.environment().cursors()
+        sim.run(max_steps=4, on_limit="return")
+        with pytest.raises(DefinitionError, match="backend='interpreter'"):
+            sim.checkpoint()

@@ -400,27 +400,6 @@ class TestFaults:
 
 
 class TestDurableCli:
-    def test_simulate_checkpoint_and_resume(self, tmp_path, capsys):
-        store = tmp_path / "ckpts"
-        assert main(["simulate", "gcd", "--checkpoint-dir", str(store),
-                     "--checkpoint-every", "3"]) == 0
-        full = capsys.readouterr().out
-        assert "result = [12]" in full
-        assert list(store.glob("ckpt-*.json"))
-        assert main(["simulate", "gcd", "--checkpoint-dir", str(store),
-                     "--resume"]) == 0
-        out = capsys.readouterr().out
-        assert "resuming from checkpoint at step" in out
-        assert "result = [12]" in out  # identical final outputs
-
-    def test_simulate_resume_requires_store(self, capsys):
-        assert main(["simulate", "gcd", "--resume"]) == 2
-        assert "--checkpoint-dir" in capsys.readouterr().err
-
-    def test_simulate_checkpoint_every_requires_store(self, capsys):
-        assert main(["simulate", "gcd", "--checkpoint-every", "5"]) == 2
-        assert "--checkpoint-dir" in capsys.readouterr().err
-
     def test_batch_journal_resume_replays(self, tmp_path, capsys):
         from repro.runtime import probe_job, write_job_file
 
@@ -465,6 +444,9 @@ class TestDurableCli:
         ["batch", "jobs.json", "--server", "http://127.0.0.1:1"],
         ["batch", "jobs.json", "--poll", "1"],
         ["batch", "jobs.json", "--max-wait", "1"],
+        ["simulate", "gcd", "--checkpoint-dir", "d"],
+        ["simulate", "gcd", "--checkpoint-every", "5"],
+        ["simulate", "gcd", "--resume"],
     ])
     def test_removed_supervision_and_tenant_options_are_rejected(
             self, argv, capsys):

@@ -2,14 +2,19 @@
 
 Extracts every ```python block from README.md and docs/TUTORIAL.md and
 executes them — README blocks independently, TUTORIAL blocks cumulatively
-in one namespace (the tutorial is a REPL session).  Documentation that
-drifts from the API fails the suite.
+in one namespace (the tutorial is a REPL session).  Every
+``python -m repro …`` line of their ```bash blocks must parse against
+the CLI's argument parser.  Documentation that drifts from the API or
+the CLI fails the suite.
 """
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from repro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -17,6 +22,29 @@ ROOT = Path(__file__).resolve().parent.parent
 def python_blocks(path: Path) -> list[str]:
     text = path.read_text(encoding="utf-8")
     return re.findall(r"```python\n(.*?)```", text, flags=re.DOTALL)
+
+
+def cli_invocations(path: Path) -> list[tuple[str, list[str]]]:
+    """``(line, argv)`` for every ``python -m repro …`` command in the
+    ```bash blocks of ``path``: ``\\`` continuations joined, and the
+    argv cut at a trailing ``# comment``, pipe or redirection."""
+    text = path.read_text(encoding="utf-8")
+    found = []
+    for block in re.findall(r"```bash\n(.*?)```", text, flags=re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            _, marker, command = line.partition("python -m repro")
+            if not marker:
+                continue
+            lexer = shlex.shlex(command, posix=True,
+                                punctuation_chars="|&;<>")
+            lexer.whitespace_split = True
+            argv = []
+            for token in lexer:
+                if token[0] in "|&;<>":
+                    break
+                argv.append(token)
+            found.append((line.strip(), argv))
+    return found
 
 
 class TestReadme:
@@ -42,6 +70,22 @@ class TestTutorial:
         # check the narrative claims it prints
         output = capsys.readouterr().out
         assert "a_out" in output or "41" in output
+
+
+class TestShellInvocations:
+    @pytest.mark.parametrize("doc", ["README.md", "docs/TUTORIAL.md"])
+    def test_cli_invocations_parse(self, doc, capsys):
+        invocations = cli_invocations(ROOT / doc)
+        assert invocations, f"{doc} must contain python -m repro examples"
+        parser = build_parser()
+        rejected = []
+        for line, argv in invocations:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                error = capsys.readouterr().err.strip().splitlines()[-1]
+                rejected.append(f"{line}\n    {error}")
+        assert not rejected, "\n".join(rejected)
 
 
 class TestDocsMentionRealFiles:
