@@ -20,6 +20,7 @@ from typing import Iterable
 
 from ..diagnostics import Diagnostic, Location
 from ..errors import ValidationError
+from ..values import UNDEF, Value
 from .graph import DataPath
 from .operations import OpKind
 from .ports import PortId
@@ -160,6 +161,49 @@ def com_vertices(dp: DataPath) -> frozenset[str]:
     and reuses it for every open-arc set.
     """
     return frozenset(v.name for v in dp.combinational_vertices())
+
+
+def undriven_values(dp: DataPath, com: frozenset[str]
+                    ) -> tuple[dict[PortId, Value], frozenset[str]]:
+    """What each COM output port outputs while no open arc drives it.
+
+    An input port no open arc drives reads UNDEF (Definition 3.1(10)),
+    and operations are pure, so a COM vertex no open arc targets outputs
+    ``op.evaluate(UNDEF, …, UNDEF)`` at every step: UNDEF for every
+    strict operation, ``k`` for a zero-argument ``const[k]``.  Returns
+    that value per output port, and the vertices whose all-UNDEF
+    evaluation raises (no value function, arity mismatch, a function
+    that rejects UNDEF).  Those get no entry: an engine evaluates them
+    at every step, so they raise where a full pass would.
+    """
+    values: dict[PortId, Value] = {}
+    always: set[str] = set()
+    for vertex in dp.vertices.values():
+        name = vertex.name
+        if name not in com:
+            continue
+        undefined = [UNDEF] * len(vertex.in_ports)
+        try:
+            ports = {PortId(name, port): vertex.operation(port).evaluate(*undefined)
+                     for port in vertex.out_ports}
+        except Exception:
+            always.add(name)
+        else:
+            values.update(ports)
+    return values, frozenset(always)
+
+
+def live_com(com: frozenset[str], always: frozenset[str],
+             driven: Iterable[PortId]) -> frozenset[str]:
+    """The COM vertices a step must evaluate: those owning a ``driven``
+    input port (the targets of the open arcs), plus ``always``.
+
+    Every other COM vertex outputs its :func:`undriven_values`.  A
+    combinational loop closed by open arcs runs through targets of open
+    arcs only, so :func:`com_order` over this set finds every loop it
+    finds over all of ``com``.
+    """
+    return always.union(port.vertex for port in driven if port.vertex in com)
 
 
 def com_order(dp: DataPath, com: frozenset[str],

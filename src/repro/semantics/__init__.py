@@ -5,8 +5,8 @@
   sequences per input vertex;
 * :class:`~repro.semantics.simulator.Simulator` — the two-phase
   interpreter of Definition 3.1, the hook-capable reference semantics
-  (one evaluator: a full combinational pass per step over a plan
-  memoised per open-arc set);
+  (one evaluator: per step, a pass over the COM vertices the open arcs
+  drive, in a plan memoised per open-arc set);
 * :mod:`~repro.semantics.policies` — firing-choice strategies;
 * :mod:`~repro.semantics.profile` — :class:`~repro.semantics.profile.
   SimMetrics` step-level observability and

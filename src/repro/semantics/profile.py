@@ -33,7 +33,9 @@ class SimMetrics:
     """What one simulation run cost, phase by phase.
 
     ``port_evaluations`` counts combinational output-port evaluations
-    (the unit of work of phase 1): every COM port, every step.
+    (the unit of work of phase 1): each step evaluates the output ports
+    of the COM vertices its open arcs drive (every other COM port holds
+    its undriven value, computed once per simulator).
     """
 
     steps: int = 0

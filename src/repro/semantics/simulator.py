@@ -32,17 +32,24 @@ observed (a terminal output state's event must not be lost).
 One evaluator
 -------------
 
-Everything about the combinational pass except the values — the
-topological COM order, which source drives each input port, and the
-drive conflicts — is a pure function of the open-arc set.  The engine
-therefore memoises a *plan* per open-arc set (and the open-arc set per
-marked-place set) and recomputes every COM port from the sequential
-state each step, in the plan's order.  A control state revisited inside
-a loop pays for the values only.  The plan is keyed by the open-arc set
-the step actually uses, after any arc glitch a hook injected, so
-perturbed steps stay exact.  Every trace carries a
-:class:`~repro.semantics.profile.SimMetrics` record of what the run
-cost.
+A COM vertex that no open arc targets reads UNDEF on every input
+(Definition 3.1(10)); operations are pure, so it outputs the same
+*undriven value* at every step — UNDEF for a strict operation, ``k``
+for ``const[k]``.  The engine computes those values once, in
+``__post_init__``
+(:func:`~repro.datapath.validate.undriven_values`).  Everything else
+about the combinational pass except the values — which COM vertices are
+*live* (targets of an open arc, plus any whose undriven evaluation
+raises), their topological order, which source drives each input port,
+and the drive conflicts — is a pure function of the open-arc set.  The
+engine therefore memoises a *plan* per open-arc set (and the open-arc
+set per marked-place set).  Each step starts from the sequential state
+and the undriven values and recomputes the live ports in the plan's
+order, so a step costs the cone the open arcs drive, not the whole data
+path.  The plan is keyed by the open-arc set the step actually uses,
+after any arc glitch a hook injected, so perturbed steps stay exact.
+Every trace carries a :class:`~repro.semantics.profile.SimMetrics`
+record of what the run cost.
 
 Hooks
 -----
@@ -54,8 +61,8 @@ fixed points of the step loop (``pre_step``, ``post_evaluate``,
 ``__post_init__`` per *overridden* method, so a simulator constructed
 without hooks pays one falsy check per call site and nothing else.  A
 hook that rewrites combinational port values sets ``perturbs_values``;
-only then does the pass call the port taps, state ports first and then
-each computed port in evaluation order.
+only then does the pass call the port taps: the state and undriven
+ports first, then each live port in evaluation order.
 
 Checkpoints
 -----------
@@ -84,7 +91,7 @@ from ..core.events import ExternalEvent
 from ..core.system import DataControlSystem
 from ..datapath.operations import OpKind
 from ..datapath.ports import PortId
-from ..datapath.validate import com_order, com_vertices
+from ..datapath.validate import com_order, com_vertices, live_com, undriven_values
 from ..errors import DefinitionError, ExecutionError, RuntimeFaultError, ValidationError
 from ..petri.execution import fire_step, is_enabled
 from ..petri.marking import Marking
@@ -202,16 +209,21 @@ class _Activation:
 class _Plan:
     """What an open-arc set fixes about the combinational pass.
 
-    ``steps`` holds the COM vertices in topological order, each as
-    ``(sources, outputs)``: the one source port driving each input port
-    (``None`` when the port is undriven or conflicted) and the
-    ``(port, evaluate)`` pair of each output.  ``source_of`` maps every
-    input port an open arc targets to its source the same way; latches
-    read through it.  ``conflicts`` are the drive-conflict entries,
-    ``ports`` counts the COM output ports, and ``loop`` holds the error
-    when the open arcs close a combinational loop.
+    ``live`` names the COM vertices the pass evaluates: the targets of
+    an open arc plus the ones whose undriven evaluation raises
+    (:func:`~repro.datapath.validate.live_com`).  Every other COM port
+    holds its undriven value.  ``steps`` holds the live vertices in
+    topological order, each as ``(sources, outputs)``: the one source
+    port driving each input port (``None`` when the port is undriven or
+    conflicted) and the ``(port, evaluate)`` pair of each output.
+    ``source_of`` maps every input port an open arc targets to its
+    source the same way; latches read through it.  ``conflicts`` are
+    the drive-conflict entries, ``ports`` counts the output ports of
+    ``steps``, and ``loop`` holds the error when the open arcs close a
+    combinational loop.
     """
 
+    live: frozenset[str]
     steps: tuple[tuple[tuple[PortId | None, ...],
                        tuple[tuple[PortId, Callable[..., Value]], ...]], ...]
     source_of: Mapping[PortId, PortId | None]
@@ -274,6 +286,8 @@ class Simulator:
         self._dp = self.system.datapath
         self._net = self.system.net
         self._com = com_vertices(self._dp)
+        # what each COM port outputs while no open arc drives its vertex
+        self._undriven, self._always = undriven_values(self._dp, self._com)
         # initial sequential state: SEQ ports from vertex init; INPUT 'out'
         # ports and OUTPUT 'snk' record ports start undefined
         self._state: dict[PortId, Value] = {}
@@ -348,7 +362,8 @@ class Simulator:
         return plan
 
     def _build_plan(self, active: frozenset[str]) -> _Plan:
-        """Derive the plan: input sources, drive conflicts, COM order."""
+        """Derive the plan: input sources, drive conflicts, and the
+        topological order of the COM vertices the open arcs drive."""
         dp = self._dp
         sources: dict[PortId, set[PortId]] = {}
         for name in active:
@@ -364,12 +379,13 @@ class Simulator:
         )
         source_of = {port: next(iter(srcs)) if len(srcs) == 1 else None
                      for port, srcs in sources.items()}
+        live = live_com(self._com, self._always, sources)
         try:
-            order = com_order(dp, self._com, active)
+            order = com_order(dp, live, active)
         except ValidationError as error:
             # only an injected arc glitch can close a loop at runtime:
             # statically looping systems fail validation long before
-            return _Plan((), source_of, conflicts, 0, error)
+            return _Plan(live, (), source_of, conflicts, 0, error)
         steps = []
         for name in order:
             vertex = dp.vertex(name)
@@ -377,7 +393,7 @@ class Simulator:
                 tuple(source_of.get(port) for port in vertex.input_ids()),
                 tuple((PortId(name, port), vertex.operation(port).evaluate)
                       for port in vertex.out_ports)))
-        return _Plan(tuple(steps), source_of, conflicts,
+        return _Plan(live, tuple(steps), source_of, conflicts,
                      sum(len(outputs) for _sources, outputs in steps), None)
 
     def _drive_conflicts(self, plan: _Plan, step: int, trace: Trace) -> None:
@@ -391,8 +407,11 @@ class Simulator:
     def _evaluate(self, plan: _Plan) -> dict[PortId, Value]:
         """Compute the combinational fixpoint: one pass in plan order.
 
-        Returns the value present at every output port.  Every COM port
-        is recomputed from the sequential state.
+        Returns the value present at every output port.  The pass starts
+        from the sequential state and every COM port's undriven value,
+        then recomputes the plan's live ports in topological order: a
+        COM vertex no open arc drives reads UNDEF on every input, so its
+        undriven value is what a full pass would compute for it.
         """
         if plan.loop is not None:
             raise RuntimeFaultError(
@@ -400,11 +419,15 @@ class Simulator:
                 f"{plan.loop}",
                 step=self._current_step, kind="comb_loop") from plan.loop
         values: dict[PortId, Value] = dict(self._state)
+        values.update(self._undriven)
         taps = self._port_taps
         if taps:
-            # value-perturbing hooks tap every port value, state included
+            # value-perturbing hooks tap every port value: the state and
+            # undriven ports here, each live port as it is computed
+            live = plan.live
             for port in list(values):
-                values[port] = self._tap_port(port, values[port])
+                if port.vertex not in live:
+                    values[port] = self._tap_port(port, values[port])
         get = values.get
         for sources, outputs in plan.steps:
             # an undriven or conflicted input has source None, which is

@@ -11,13 +11,21 @@ numeric form —
   incidence rows (the token game becomes integer comparisons),
 * a flat *register file*: one slot per value-carrying port (sequential
   state, input pads, output records, combinational outputs), with
-  slot 0 permanently :data:`~repro.semantics.values.UNDEF`,
+  slot 0 permanently :data:`~repro.semantics.values.UNDEF`, plus one
+  never-written slot per port whose *undriven value* — what a COM
+  vertex no open arc drives outputs at every step
+  (:func:`~repro.datapath.validate.undriven_values`) — is defined but
+  cannot sit in the port's own slot,
 * per reachable marking, a :class:`_Plan`: the open-arc set resolved to
-  one straight-line list of register-to-register instructions in COM
-  topological order (each engine builds its *tape* from that list), the
-  drive-conflict verdict, guard registers per enabled transition,
-  choice-conflict candidates, and the latch/event recipe for every
-  departing place,
+  one straight-line list of register-to-register instructions over the
+  COM vertices the open arcs drive, in topological order (each engine
+  builds its *tape* from that list), the drive-conflict verdict, guard
+  registers per enabled transition, choice-conflict candidates, and the
+  latch/event recipe for every departing place.  Every read of a COM
+  port the plan does not evaluate goes to that port's undriven slot
+  (slot 0 when the value is UNDEF, the port's own slot for a vertex
+  without inputs), never to its own slot, which may still hold what an
+  earlier plan computed,
 * per ``(plan, guard bits)``, memoized *effects*: the chosen step, the
   next marking (hence next plan), activation openings and environment
   draws — so a loop's steady state replays from a dict hit.
@@ -70,7 +78,7 @@ from ..core.events import ExternalEvent
 from ..core.system import DataControlSystem
 from ..datapath.operations import OpKind, Operation
 from ..datapath.ports import PortId
-from ..datapath.validate import com_order, com_vertices
+from ..datapath.validate import com_order, com_vertices, live_com, undriven_values
 from ..errors import DefinitionError, ExecutionError, ReproError, RuntimeFaultError, ValidationError
 from ..petri.marking import Marking
 from .environment import Environment
@@ -123,7 +131,8 @@ def _scalar_instruction(op: Operation, out: int, args: tuple[int, ...]):
     inside ``op.func`` already, and booleans are normalised to words —
     with the arity check hoisted to compile time (the error message is
     preserved and raised on first execution, like the interpreter's
-    first full pass would).
+    first pass would: such a vertex's undriven evaluation raises too,
+    so it is in every plan).
     """
     func = op.func
     if func is None:
@@ -382,20 +391,6 @@ def _vector_instruction(op: Operation, out: int, args: tuple[int, ...]):
     undefined slots and writes the output register.
     """
     handler = _VECTOR_HANDLERS.get(op.name)
-    if op.name.startswith("const[") and op.func is not None:
-        word = op.func()
-        if not _INT64_MIN <= word <= _INT64_MAX:
-            message = (f"value {word} exceeds the vector backend's 64-bit "
-                       "range; use the scalar mode or the interpreter")
-
-            def too_wide(values, defined, sel, _m=message):
-                raise ExecutionError(_m)
-            return too_wide
-
-        def const(values, defined, sel, _o=out, _w=word):
-            values[_o, sel] = _w
-            defined[_o, sel] = True
-        return const
 
     def instr(values, defined, sel, _op=op, _o=out, _args=args,
               _handler=handler):
@@ -430,7 +425,13 @@ class _Completion:
 
 
 class _Plan:
-    """Everything one marking determines, compiled to register indices."""
+    """Everything one marking determines, compiled to register indices.
+
+    ``instrs`` evaluates only the COM vertices an open arc drives (plus
+    any whose undriven evaluation raises); the instruction arguments,
+    ``guard_regs``, event sources and latch inputs read every other COM
+    port from its undriven register.
+    """
 
     __slots__ = ("marking", "marked_sorted", "empty", "active",
                  "conflict_details", "comb_error", "instrs", "tape", "vec",
@@ -465,7 +466,9 @@ class CompiledSystem:
     Frozen orders: ``places`` / ``transitions`` follow the net's
     insertion order; the register file starts with the UNDEF pseudo
     register, then every state-carrying port in the interpreter's
-    ``_state`` insertion order, then the combinational output ports.
+    ``_state`` insertion order, then the combinational output ports,
+    then the undriven registers of the ports whose undriven value is
+    defined and whose vertex has inputs.
     ``pre`` / ``post`` are dense ``(T, P)`` int64 incidence matrices.
     Plans are compiled per reachable marking on first visit and shared
     by every lane, run and engine of this compiled system: a plan's
@@ -502,30 +505,30 @@ class CompiledSystem:
                     self.reg_of[pid] = len(initial)
                     self.state_ports.append((pid, len(initial)))
                     initial.append(vertex.initial_value(port))
-        # constant (zero-arg) COM ports are hoisted: their value never
-        # changes, so it lives in the initial register image instead of
-        # being recomputed by every plan's tape on every step
-        self.const_regs: set[int] = set()
         self._com = com_vertices(dp)
         for vertex in dp.vertices.values():
-            if vertex.name not in self._com:
-                continue
-            inputs = vertex.input_ids()
-            for port in vertex.out_ports:
-                pid = PortId(vertex.name, port)
+            if vertex.name in self._com:
+                for port in vertex.out_ports:
+                    self.reg_of[PortId(vertex.name, port)] = len(initial)
+                    initial.append(UNDEF)
+        # a plan evaluates only the COM vertices its open arcs drive; a
+        # read of any other COM port goes to that port's undriven
+        # register, never to its own (which may hold a value an earlier
+        # plan computed): register 0 for UNDEF, the port's own register
+        # for a vertex without inputs (no plan ever writes it), else one
+        # more register of the initial image
+        undriven, self._always = undriven_values(dp, self._com)
+        self._undriven_reg: dict[PortId, int] = {}
+        for pid, value in undriven.items():
+            if value is UNDEF:
+                reg = 0
+            elif not dp.vertex(pid.vertex).in_ports:
+                reg = self.reg_of[pid]
+                initial[reg] = value
+            else:
                 reg = len(initial)
-                self.reg_of[pid] = reg
-                op = vertex.operation(port)
-                value: Value = UNDEF
-                if not inputs and op.arity == 0 and op.func is not None:
-                    try:
-                        v = op.func()
-                        value = (v if type(v) is int or v is UNDEF
-                                 else as_word(v))
-                        self.const_regs.add(reg)
-                    except Exception:
-                        value = UNDEF  # keep the raising instruction on tape
                 initial.append(value)
+            self._undriven_reg[pid] = reg
         self.initial_values: tuple[Value, ...] = tuple(initial)
         self.num_regs = len(initial)
         self._external = system.external_arc_names()
@@ -558,19 +561,25 @@ class CompiledSystem:
             self._plans[marking] = plan
         return plan
 
-    def _resolve_reg(self, port: PortId, active: frozenset[str],
-                     conflicted: frozenset[PortId]) -> int:
+    def _read_reg(self, port: PortId, live: frozenset[str]) -> int:
+        """Register holding an output port's value in a plan whose pass
+        evaluates the COM vertices ``live``."""
+        if port.vertex not in live:
+            reg = self._undriven_reg.get(port)
+            if reg is not None:
+                return reg
+        return self.reg_of.get(port, 0)
+
+    def _resolve_reg(self, port: PortId, drivers: dict[PortId, set[PortId]],
+                     live: frozenset[str]) -> int:
         """Register carrying an input port's value under the open arcs
-        (mirrors the interpreter's ``resolve``: conflicted ports and
-        ports with no active arc read UNDEF; otherwise the first active
-        arc in name order wins — conflicts were pre-detected, so at most
-        one distinct source is active)."""
-        if port in conflicted:
+        (mirrors the interpreter's ``resolve``: ports with no active arc
+        and conflicted ports, which have several distinct sources, read
+        UNDEF)."""
+        sources = drivers.get(port)
+        if sources is None or len(sources) > 1:
             return 0
-        for arc in self.system.datapath.arcs_into(port):
-            if arc.name in active:
-                return self.reg_of.get(arc.source, 0)
-        return 0
+        return self._read_reg(next(iter(sources)), live)
 
     def _compile_plan(self, marking: Marking) -> _Plan:
         dp = self.system.datapath
@@ -596,25 +605,24 @@ class CompiledSystem:
             if len(sources) > 1
         )
         plan.conflict_details = tuple(detail for _port, detail in entries)
-        conflicted = frozenset(port for port, _ in entries)
-        # COM topological order -> one (op, out, args) instruction list,
-        # from which both engines' tapes are built
+        # topological order of the COM vertices the open arcs drive ->
+        # one (op, out, args) instruction list, from which both engines'
+        # tapes are built
+        live = live_com(self._com, self._always, drivers)
         plan.comb_error = None
         instrs = []
         try:
-            order = com_order(dp, self._com, active)
+            order = com_order(dp, live, active)
         except ValidationError as error:
             plan.comb_error = str(error)
             order = []
         for name in order:
             vertex = dp.vertex(name)
-            args = tuple(self._resolve_reg(p, active, conflicted)
+            args = tuple(self._resolve_reg(p, drivers, live)
                          for p in vertex.input_ids())
             for port in vertex.out_ports:
-                out = self.reg_of[PortId(name, port)]
-                if out in self.const_regs:
-                    continue  # hoisted into the initial register image
-                instrs.append((vertex.operation(port), out, args))
+                instrs.append((vertex.operation(port),
+                               self.reg_of[PortId(name, port)], args))
         plan.instrs = tuple(instrs)
         plan.tape = [_scalar_instruction(*instr) for instr in instrs]
         plan.vec = None
@@ -624,7 +632,7 @@ class CompiledSystem:
         plan.enabled_index = {t: i for i, t in enumerate(plan.enabled)}
         plan.sorted_enabled = tuple(sorted(plan.enabled))
         plan.guard_regs = tuple(
-            tuple(self.reg_of.get(p, 0) for p in self._guard_ports[t])
+            tuple(self._read_reg(p, live) for p in self._guard_ports[t])
             for t in plan.enabled)
         n_enabled = len(plan.enabled)
         plan.guard_weights = (
@@ -648,7 +656,7 @@ class CompiledSystem:
         for place in plan.marked_sorted:
             arcs = self.system.control_arcs(place)
             events = tuple(
-                (arc_name, self.reg_of.get(dp.arc(arc_name).source, 0))
+                (arc_name, self._read_reg(dp.arc(arc_name).source, live))
                 for arc_name in sorted(arcs & self._external))
             latches = []
             for arc_name in sorted(arcs):
@@ -656,7 +664,7 @@ class CompiledSystem:
                 vertex = dp.vertex(arc.target.vertex)
                 if not vertex.is_sequential:
                     continue
-                in_reg = self._resolve_reg(arc.target, active, conflicted)
+                in_reg = self._resolve_reg(arc.target, drivers, live)
                 for port_name in vertex.out_ports:
                     op = vertex.operation(port_name)
                     if op.kind not in (OpKind.SEQ, OpKind.OUTPUT):

@@ -1,8 +1,9 @@
 """The compiled fast path is a drop-in for the reference interpreter.
 
 The interpreter (``Simulator(backend="interpreter")``) is the one
-hook-capable Definition 3.1 evaluator: every step recomputes every COM
-port from the sequential state over a plan memoised per open-arc set.
+hook-capable Definition 3.1 evaluator: every step recomputes the COM
+ports the open arcs drive from the sequential state and the undriven
+ports' fixed values, over a plan memoised per open-arc set.
 The fast path is the compiled vector backend (``backend="vector"``).
 These tests pin the contract between the two — byte-identical traces on
 every curated design under both deterministic firing policies — plus
@@ -19,6 +20,7 @@ from repro.semantics import (
     Environment,
     MaximalStepPolicy,
     SequentialPolicy,
+    SimHook,
     SimMetrics,
     Simulator,
     profile_simulation,
@@ -69,17 +71,28 @@ def test_fast_path_identical_under_sequential_policy(name):
 def test_metrics_attached_and_consistent():
     design = DESIGNS["counter"]
     system = design.build()
-    trace = _run(design, backend="interpreter")
+    actives = []
+
+    class Spy(SimHook):
+        def post_evaluate(self, sim, step, active, out_values):
+            actives.append(active)
+
+    sim = Simulator(system, design.environment(), hooks=[Spy()])
+    trace = sim.run(max_steps=500_000)
     metrics = trace.metrics
     assert metrics is not None
     assert metrics.steps == trace.step_count
     assert metrics.firings == trace.num_firings
     assert metrics.peak_marked_places >= 1
     assert metrics.wall_seconds > 0
-    # one full pass per step: every COM output port, every step
+    # one pass per step over the ports of that step's plan: only the COM
+    # vertices the open arcs drive, fewer than every port every step
+    assert len(actives) == metrics.steps
+    assert metrics.port_evaluations == sum(sim._plans[active].ports
+                                           for active in actives)
     com_ports = sum(len(vertex.out_ports)
                     for vertex in system.datapath.combinational_vertices())
-    assert metrics.port_evaluations == metrics.steps * com_ports
+    assert metrics.port_evaluations < metrics.steps * com_ports
 
 
 def test_loop_heavy_run_hits_caches():
