@@ -5,10 +5,10 @@
   reachability enumeration) producing :class:`~repro.diagnostics.Diagnostic`
   findings;
 * :mod:`~repro.analysis.sarif` — SARIF 2.1.0 serialization of lint runs;
-* :mod:`~repro.analysis.symbolic` — static reachability/equivalence
-  engine (vectorised frontier bitsets, stubborn-set partial-order
-  reduction, McMillan complete finite prefixes) that never executes the
-  interpreter;
+* :mod:`~repro.analysis.symbolic` — static reachability engine
+  (vectorised frontier bitsets, stubborn-set partial-order reduction,
+  McMillan complete finite prefixes) that never executes the
+  interpreter, plus the safety and equivalence diagnostics;
 * :mod:`~repro.analysis.interleaving` — CCS-style shuffle composition and
   the composition-explosion measurement (Section 1 comparison);
 * :mod:`~repro.analysis.regex_baseline` — McFarland-style total-order
@@ -51,15 +51,14 @@ from .statespace import StateSpaceStats, state_space_stats
 from .symbolic import (
     CompiledNet,
     Prefix,
-    SymbolicAnalyzer,
     SymbolicGraph,
     TruncationWarning,
     complete_prefix,
     equivalence_diagnostics,
     frontier_explore,
     por_explore,
+    safety_diagnostics,
     stubborn_set,
-    symbolic_semantically_equivalent,
 )
 
 __all__ = [
@@ -93,13 +92,12 @@ __all__ = [
     "state_space_stats",
     "CompiledNet",
     "SymbolicGraph",
-    "SymbolicAnalyzer",
     "Prefix",
     "TruncationWarning",
     "frontier_explore",
     "por_explore",
     "stubborn_set",
     "complete_prefix",
-    "symbolic_semantically_equivalent",
+    "safety_diagnostics",
     "equivalence_diagnostics",
 ]

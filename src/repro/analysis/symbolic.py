@@ -1,5 +1,5 @@
-"""Symbolic reachability and equivalence — static analysis without the
-interpreter.
+"""Symbolic reachability — static analysis without the interpreter — and
+the diagnostics rendering of its and the equivalence checkers' verdicts.
 
 The explicit explorer (:func:`repro.petri.reachability.explore`) walks the
 marking graph one :class:`~repro.petri.marking.Marking` object at a time:
@@ -40,10 +40,13 @@ which places can ever coexist, which transitions are in structural
 conflict — read directly off the prefix's concurrency relation without
 enumerating interleavings at all.
 
-:class:`SymbolicAnalyzer` is the facade the rebuilt checkers
-(``is_safe``/``coexistent_place_pairs``/``semantically_equivalent`` with
-``backend="symbolic"``) sit on; :func:`equivalence_diagnostics` renders an
-inequivalence verdict (with its firing-sequence witness) as structured
+``backend="symbolic"`` in :mod:`repro.petri.reachability` calls these
+engines directly, one exploration per query: ``is_safe`` and
+``reachable_markings`` run :func:`frontier_explore`, and
+``coexistent_place_pairs`` runs :func:`coexistence` (the prefix when it
+applies, else the frontier).  :func:`safety_diagnostics` renders a safety
+violation and :func:`equivalence_diagnostics` an inequivalence verdict
+(each with its firing-sequence witness) as structured
 :class:`~repro.diagnostics.Diagnostic` objects for the SARIF pipeline.
 """
 
@@ -57,13 +60,12 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from ..diagnostics import Diagnostic, Location
-from ..errors import DefinitionError, ExecutionError
+from ..errors import DefinitionError
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.equivalence import EquivalenceVerdict
-    from ..semantics.environment import Environment
 
 
 class TruncationWarning(UserWarning):
@@ -709,167 +711,61 @@ def _co_sets(pools: list[list[int]],
 
 
 # ---------------------------------------------------------------------------
-# the facade — what the rebuilt checkers call
+# the queries the reachability checkers route here
 # ---------------------------------------------------------------------------
-class SymbolicAnalyzer:
-    """One-stop symbolic reachability analysis over a net (or system).
-
-    Compiles the net once; every query shares the
-    :class:`CompiledNet`.  ``coexistent_pairs`` routes through the
-    unfolding prefix when the net is small and 1-safe-looking and falls
-    back to the frontier engine otherwise — the three techniques
-    cooperate rather than compete.
-    """
-
-    def __init__(self, net: PetriNet, *, max_markings: int = 1_000_000,
-                 token_bound: int = 8) -> None:
-        self.net = net
-        self.compiled = CompiledNet(net)
-        self.max_markings = max_markings
-        self.token_bound = token_bound
-        self._full: SymbolicGraph | None = None
-
-    # ------------------------------------------------------------------
-    def explore(self) -> SymbolicGraph:
-        """The (cached) full frontier exploration."""
-        if self._full is None:
-            self._full = frontier_explore(
-                self.net, max_markings=self.max_markings,
-                token_bound=self.token_bound, compiled=self.compiled)
-        return self._full
-
-    def reduced(self) -> SymbolicGraph:
-        """A stubborn-set-reduced exploration (not cached; cheap)."""
-        return por_explore(self.net, max_markings=self.max_markings,
-                           token_bound=self.token_bound,
-                           compiled=self.compiled)
-
-    def is_safe(self) -> bool:
-        """Exact safety decision; raises on a truncated exploration."""
-        graph = frontier_explore(self.net, max_markings=self.max_markings,
-                                 token_bound=1, compiled=self.compiled)
-        if graph.bounded_by > 1:
-            return False
-        if graph.truncated:
-            raise ExecutionError(
-                "symbolic reachability budget exhausted before safety "
-                f"could be decided ({graph.truncation_reason})")
-        return True
-
-    def safety_diagnostics(self, *, system: str = "") -> list[Diagnostic]:
-        """Structured findings for safety violations, with a
-        firing-sequence counterexample each."""
-        graph = frontier_explore(self.net, max_markings=self.max_markings,
-                                 token_bound=1, compiled=self.compiled)
-        witness = graph.unsafe_witness()
-        if witness is None:
-            return []
-        marking, path = witness
-        offenders = sorted(p for p, c in marking.items() if c > 1)
-        return [Diagnostic(
-            rule="SY001",
-            severity="error",
-            message=(f"net is not safe: place(s) {offenders} hold more "
-                     f"than one token after firing {' -> '.join(path)}"),
-            locations=tuple(
-                [Location("place", p) for p in offenders]
-                + [Location("marking", repr(marking))]),
-            hint="fire the listed sequence from M0 to reproduce",
-            system=system,
-        )]
-
-    def coexistent_pairs(self, *, prefer_unfolding: bool = True,
-                         unfolding_max_events: int = 2_000
-                         ) -> tuple[frozenset[frozenset[str]], bool]:
-        """``(pairs, complete)`` with the explicit checker's contract."""
-        initial = self.net.initial_marking()
-        if (prefer_unfolding
-                and all(c <= 1 for c in initial.values())
-                and len(self.net.transitions) <= 64):
-            try:
-                prefix = complete_prefix(
-                    self.net, max_events=unfolding_max_events)
-            except DefinitionError:
-                prefix = None
-            if prefix is not None and prefix.complete \
-                    and not prefix.unsafe_places():
-                pairs = set(prefix.coexistent_pairs())
-                # seed with the initial marking's own coexistences
-                marked0 = sorted(initial.marked_places())
-                for i, p in enumerate(marked0):
-                    for q in marked0[i + 1:]:
-                        pairs.add(frozenset((p, q)))
-                return frozenset(pairs), True
-        graph = self.explore()
-        if graph.truncated:
-            warn_truncated("coexistent place pairs",
-                           graph.truncation_reason)
-        return graph.coexistent_pairs(), not graph.truncated
+#: the unfolding prefix answers coexistence only on 1-safe-looking nets
+#: this small, within this many events; otherwise the frontier engine does
+_PREFIX_MAX_TRANSITIONS = 64
+_PREFIX_MAX_EVENTS = 2_000
 
 
-# ---------------------------------------------------------------------------
-# symbolic semantic equivalence
-# ---------------------------------------------------------------------------
-def _compiled_event_structure(system: "DataControlSystem",
-                              environment: "Environment", *,
-                              max_steps: int):
-    """Event structure + firing steps via the *compiled* vector backend.
+def coexistence(net: PetriNet, *, max_markings: int
+                ) -> tuple[frozenset[frozenset[str]], bool]:
+    """``(pairs, complete)`` with the explicit checker's contract, read
+    off the complete prefix when it is complete and finds no unsafe
+    place, else off a full frontier exploration."""
+    initial = net.initial_marking()
+    if (all(c <= 1 for c in initial.values())
+            and len(net.transitions) <= _PREFIX_MAX_TRANSITIONS):
+        try:
+            prefix = complete_prefix(net, max_events=_PREFIX_MAX_EVENTS)
+        except DefinitionError:
+            prefix = None
+        if prefix is not None and prefix.complete \
+                and not prefix.unsafe_places():
+            pairs = set(prefix.coexistent_pairs())
+            # seed with the initial marking's own coexistences
+            marked0 = sorted(initial.marked_places())
+            for i, p in enumerate(marked0):
+                for q in marked0[i + 1:]:
+                    pairs.add(frozenset((p, q)))
+            return frozenset(pairs), True
+    graph = frontier_explore(net, max_markings=max_markings)
+    if graph.truncated:
+        warn_truncated("coexistent place pairs", graph.truncation_reason)
+    return graph.coexistent_pairs(), not graph.truncated
 
-    Never the interpreter when the system is supported; systems outside
-    the vector backend's policy/hook envelope degrade to the interpreter
-    (explicitly, and only for the data phase the static techniques cannot
-    replace)."""
-    from ..semantics.event_structure import event_structure_from_trace
-    from ..semantics.policies import MaximalStepPolicy
-    from ..semantics.simulator import Simulator
 
-    try:
-        simulator = Simulator(system, environment, MaximalStepPolicy(),
-                              backend="vector")
-    except DefinitionError:
-        simulator = Simulator(system, environment, MaximalStepPolicy())
-    trace = simulator.run(max_steps=max_steps)
-    return event_structure_from_trace(system, trace), \
-        [list(step) for step in trace.steps]
-
-
-def symbolic_semantically_equivalent(
-        gamma: "DataControlSystem", gamma_prime: "DataControlSystem",
-        environment: "Environment | None" = None, *,
-        max_steps: int = 10_000) -> "EquivalenceVerdict":
-    """Definition 4.1 checked without the interpreter.
-
-    Static prescreens first (external interfaces must match — two systems
-    with different external arc names cannot produce equal event
-    structures, no execution needed), then both event structures are
-    extracted through the compiled vector backend and compared; an
-    inequivalence verdict carries the two distinguishing firing sequences
-    as a replayable witness.
-    """
-    from ..core.equivalence import EquivalenceVerdict
-    from ..semantics.environment import Environment
-
-    ext_left = gamma.external_arc_names()
-    ext_right = gamma_prime.external_arc_names()
-    if ext_left != ext_right:
-        only_left = sorted(ext_left - ext_right)
-        only_right = sorted(ext_right - ext_left)
-        return EquivalenceVerdict(
-            False, "semantic",
-            f"external interfaces differ: only-left={only_left}, "
-            f"only-right={only_right}", backend="symbolic")
-    env = environment if environment is not None else Environment()
-    left, steps_left = _compiled_event_structure(
-        gamma, env.fork(), max_steps=max_steps)
-    right, steps_right = _compiled_event_structure(
-        gamma_prime, env.fork(), max_steps=max_steps)
-    if left.semantically_equal(right):
-        return EquivalenceVerdict(True, "semantic", backend="symbolic")
-    return EquivalenceVerdict(
-        False, "semantic",
-        left.explain_difference(right) or "structures differ",
-        witness={"left": steps_left, "right": steps_right},
-        backend="symbolic")
+def safety_diagnostics(net: PetriNet, *,
+                       system: str = "") -> list[Diagnostic]:
+    """Structured findings for safety violations (``SY001``), with a
+    firing-sequence counterexample each."""
+    witness = frontier_explore(net, token_bound=1).unsafe_witness()
+    if witness is None:
+        return []
+    marking, path = witness
+    offenders = sorted(p for p, c in marking.items() if c > 1)
+    return [Diagnostic(
+        rule="SY001",
+        severity="error",
+        message=(f"net is not safe: place(s) {offenders} hold more "
+                 f"than one token after firing {' -> '.join(path)}"),
+        locations=tuple(
+            [Location("place", p) for p in offenders]
+            + [Location("marking", repr(marking))]),
+        hint="fire the listed sequence from M0 to reproduce",
+        system=system,
+    )]
 
 
 # ---------------------------------------------------------------------------
@@ -936,14 +832,14 @@ def warn_truncated(what: str, reason: str) -> None:
 __all__ = [
     "CompiledNet",
     "SymbolicGraph",
-    "SymbolicAnalyzer",
     "Prefix",
     "TruncationWarning",
     "frontier_explore",
     "por_explore",
     "stubborn_set",
     "complete_prefix",
-    "symbolic_semantically_equivalent",
+    "coexistence",
+    "safety_diagnostics",
     "equivalence_diagnostics",
     "EQUIV_RULES",
     "warn_truncated",

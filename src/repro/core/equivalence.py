@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..errors import ValidationError
+from ..errors import DefinitionError, ValidationError
 from .dependence import DataDependence
 from .system import DataControlSystem
 
@@ -254,6 +254,38 @@ def control_invariant_equivalent(gamma: DataControlSystem,
 # ---------------------------------------------------------------------------
 # Definition 4.1 — semantic equivalence (bounded, environment-relative)
 # ---------------------------------------------------------------------------
+def _check_backend(backend: str, what: str) -> None:
+    if backend not in ("explicit", "symbolic"):
+        raise ValidationError(
+            f"unknown {what} backend {backend!r}: "
+            "expected 'explicit' or 'symbolic'")
+
+
+def _run(system: DataControlSystem, environment: "Environment", policy, *,
+         max_steps: int, backend: str):
+    """One run of ``system`` for the behavioural checkers.
+
+    ``backend="symbolic"`` runs on the compiled vector engine whenever it
+    emulates ``policy`` and on the interpreter otherwise; ``"explicit"``
+    always runs on the interpreter.  The engine is chosen here, before
+    the run, because the vector engine rejects a policy only once it
+    runs.
+    """
+    from ..semantics.simulator import Simulator
+
+    engine = "interpreter"
+    if backend == "symbolic":
+        from ..semantics.vector import _policy_kind
+
+        try:
+            _policy_kind(policy)
+            engine = "vector"
+        except DefinitionError:
+            pass
+    return Simulator(system, environment, policy,
+                     backend=engine).run(max_steps=max_steps)
+
+
 def semantically_equivalent(gamma: DataControlSystem,
                             gamma_prime: DataControlSystem,
                             environment: "Environment | None" = None,
@@ -264,42 +296,44 @@ def semantically_equivalent(gamma: DataControlSystem,
     This is the observational check of Definition 4.1 made effective: the
     full relation is undecidable, so the result is relative to the supplied
     environment (input value sequences) and the step budget.  Both systems
-    receive an independent copy of the environment.
+    receive an independent copy of the environment and run under the
+    maximal-step policy.
 
-    ``backend="symbolic"`` routes through
-    :func:`repro.analysis.symbolic.symbolic_semantically_equivalent`,
-    which prescreens statically and extracts the event structures through
-    the compiled vector engine instead of the interpreter; the explicit
-    backend remains the differential oracle.  Both record the
-    distinguishing firing sequences in :attr:`EquivalenceVerdict.witness`
-    on an inequivalence verdict.
+    ``backend`` only picks the engine: ``"explicit"`` runs the
+    interpreter, ``"symbolic"`` the compiled vector engine
+    (:mod:`repro.semantics.vector`), after a static prescreen — systems
+    whose external arc names differ cannot have equal event structures,
+    so no run is needed.  An inequivalence verdict records both
+    distinguishing firing sequences in :attr:`EquivalenceVerdict.witness`.
     """
+    _check_backend(backend, "equivalence")
     if backend == "symbolic":
-        from ..analysis.symbolic import symbolic_semantically_equivalent
-
-        return symbolic_semantically_equivalent(
-            gamma, gamma_prime, environment, max_steps=max_steps)
-    if backend != "explicit":
-        raise ValidationError(
-            f"unknown equivalence backend {backend!r}: "
-            "expected 'explicit' or 'symbolic'")
+        ext_left = gamma.external_arc_names()
+        ext_right = gamma_prime.external_arc_names()
+        if ext_left != ext_right:
+            return EquivalenceVerdict(
+                False, "semantic",
+                "external interfaces differ: "
+                f"only-left={sorted(ext_left - ext_right)}, "
+                f"only-right={sorted(ext_right - ext_left)}",
+                backend=backend)
 
     from ..semantics.environment import Environment
     from ..semantics.event_structure import event_structure_from_trace
     from ..semantics.policies import MaximalStepPolicy
-    from ..semantics.simulator import Simulator
 
     env = environment if environment is not None else Environment()
-    trace_left = Simulator(gamma, env.fork(),
-                           MaximalStepPolicy()).run(max_steps=max_steps)
-    trace_right = Simulator(gamma_prime, env.fork(),
-                            MaximalStepPolicy()).run(max_steps=max_steps)
+    trace_left = _run(gamma, env.fork(), MaximalStepPolicy(),
+                      max_steps=max_steps, backend=backend)
+    trace_right = _run(gamma_prime, env.fork(), MaximalStepPolicy(),
+                       max_steps=max_steps, backend=backend)
     left = event_structure_from_trace(gamma, trace_left)
     right = event_structure_from_trace(gamma_prime, trace_right)
     if left.semantically_equal(right):
-        return EquivalenceVerdict(True, "semantic")
+        return EquivalenceVerdict(True, "semantic", backend=backend)
     return EquivalenceVerdict(
         False, "semantic",
         left.explain_difference(right) or "structures differ",
         witness={"left": [list(step) for step in trace_left.steps],
-                 "right": [list(step) for step in trace_right.steps]})
+                 "right": [list(step) for step in trace_right.steps]},
+        backend=backend)

@@ -171,10 +171,12 @@ def is_safe(net: PetriNet, *, max_markings: int = 100_000,
     """
     _check_backend(backend)
     if backend == "symbolic":
-        from ..analysis.symbolic import SymbolicAnalyzer
+        from ..analysis.symbolic import frontier_explore
 
-        return SymbolicAnalyzer(net, max_markings=max_markings).is_safe()
-    graph = explore(net, max_markings=max_markings, token_bound=1)
+        graph = frontier_explore(net, max_markings=max_markings,
+                                 token_bound=1)
+    else:
+        graph = explore(net, max_markings=max_markings, token_bound=1)
     if graph.bounded_by > 1:
         return False
     if graph.truncated:
@@ -229,10 +231,9 @@ def coexistent_place_pairs(net: PetriNet, *, max_markings: int = 100_000,
     """
     _check_backend(backend)
     if backend == "symbolic":
-        from ..analysis.symbolic import SymbolicAnalyzer
+        from ..analysis.symbolic import coexistence
 
-        return SymbolicAnalyzer(
-            net, max_markings=max_markings).coexistent_pairs()
+        return coexistence(net, max_markings=max_markings)
     graph = explore(net, max_markings=max_markings)
     if graph.truncated:
         from ..analysis.symbolic import warn_truncated

@@ -469,7 +469,7 @@ class CompiledSystem:
     ``_state`` insertion order, then the combinational output ports,
     then the undriven registers of the ports whose undriven value is
     defined and whose vertex has inputs.
-    ``pre`` / ``post`` are dense ``(T, P)`` int64 incidence matrices.
+    ``presets`` / ``postsets`` map each transition to its place tuples.
     Plans are compiled per reachable marking on first visit and shared
     by every lane, run and engine of this compiled system: a plan's
     ``(op, out, args)`` instruction list is derived once, and both the
@@ -485,14 +485,6 @@ class CompiledSystem:
         self.transitions: tuple[str, ...] = tuple(net.transitions)
         self.presets = {t: tuple(net.preset(t)) for t in self.transitions}
         self.postsets = {t: tuple(net.postset(t)) for t in self.transitions}
-        n_p, n_t = len(self.places), len(self.transitions)
-        self.pre = np.zeros((n_t, n_p), dtype=np.int64)
-        self.post = np.zeros((n_t, n_p), dtype=np.int64)
-        for ti, t in enumerate(self.transitions):
-            for p in self.presets[t]:
-                self.pre[ti, self.place_index[p]] += 1
-            for p in self.postsets[t]:
-                self.post[ti, self.place_index[p]] += 1
         # register file: slot 0 is the permanent UNDEF pseudo register
         self.reg_of: dict[PortId, int] = {}
         initial: list[Value] = [UNDEF]

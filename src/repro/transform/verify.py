@@ -6,12 +6,12 @@ verification on top: simulate both systems against the same environments
 (and several firing policies) and compare external event structures —
 the executable statement of Theorems 4.1 and 4.2.
 
-Two backends: ``"explicit"`` runs the interpreter under the full default
-policy battery (maximal, sequential, three random seeds); ``"symbolic"``
-routes every extraction through the compiled vector engine
-(:mod:`repro.semantics.vector`) with the deterministic policy battery the
-vector backend supports — far faster on wide systems, and the explicit
-backend remains the differential oracle.
+``backend`` picks the engine and the default policy battery, nothing
+else: ``"explicit"`` runs the interpreter under maximal, sequential and
+three random-seed policies; ``"symbolic"`` runs the compiled vector
+engine (:mod:`repro.semantics.vector`) under the deterministic battery
+it emulates (maximal, sequential, three seeded maximal), and the
+interpreter for any policy outside it.
 """
 
 from __future__ import annotations
@@ -19,13 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..core.equivalence import _check_backend, _run
 from ..core.system import DataControlSystem
-from ..errors import DefinitionError, ValidationError
 from ..semantics.environment import Environment
 from ..semantics.event_structure import (
     default_policy_sweep,
     event_structure_from_trace,
-    extract_event_structure,
+)
+from ..semantics.policies import (
+    MaximalStepPolicy,
+    SeededMaximalPolicy,
+    SequentialPolicy,
 )
 
 
@@ -45,29 +49,9 @@ class BehaviouralReport:
 
 def _vector_policy_sweep():
     """The deterministic battery the compiled vector backend supports."""
-    from ..semantics.policies import (
-        MaximalStepPolicy,
-        SeededMaximalPolicy,
-        SequentialPolicy,
-    )
-
     return [MaximalStepPolicy(), SequentialPolicy(),
             SeededMaximalPolicy(1), SeededMaximalPolicy(2),
             SeededMaximalPolicy(3)]
-
-
-def _extract_vector(system: DataControlSystem, environment: Environment,
-                    policy, *, max_steps: int):
-    """Event structure via the compiled vector engine (interpreter only as
-    an explicit fallback when the system is outside the vector envelope)."""
-    from ..semantics.simulator import Simulator
-
-    try:
-        simulator = Simulator(system, environment, policy, backend="vector")
-    except DefinitionError:
-        simulator = Simulator(system, environment, policy)
-    trace = simulator.run(max_steps=max_steps)
-    return event_structure_from_trace(system, trace)
 
 
 def behaviourally_equivalent(before: DataControlSystem,
@@ -84,36 +68,27 @@ def behaviourally_equivalent(before: DataControlSystem,
     if ``before`` is properly designed its structure is policy-invariant,
     and comparing each ``after``-policy against it covers both systems).
     """
-    if backend not in ("explicit", "symbolic"):
-        raise ValidationError(
-            f"unknown verification backend {backend!r}: "
-            "expected 'explicit' or 'symbolic'")
+    _check_backend(backend, "verification")
     if policies is not None:
         battery = list(policies)
     elif backend == "symbolic":
         battery = _vector_policy_sweep()
     else:
         battery = default_policy_sweep()
+    if not environments or not battery:
+        raise ValueError(
+            "at least one environment and one policy are required")
+
+    def observe(system, environment, policy):
+        trace = _run(system, environment.fork(), policy,
+                     max_steps=max_steps, backend=backend)
+        return event_structure_from_trace(system, trace)
+
     checked_policies = 0
     for env_index, environment in enumerate(environments):
-        if backend == "symbolic":
-            from ..semantics.policies import MaximalStepPolicy
-
-            reference = _extract_vector(before, environment.fork(),
-                                        MaximalStepPolicy(),
-                                        max_steps=max_steps)
-        else:
-            reference = extract_event_structure(before, environment.fork(),
-                                                max_steps=max_steps)
+        reference = observe(before, environment, MaximalStepPolicy())
         for policy in battery:
-            if backend == "symbolic":
-                candidate = _extract_vector(after, environment.fork(),
-                                            policy, max_steps=max_steps)
-            else:
-                candidate = extract_event_structure(after,
-                                                    environment.fork(),
-                                                    policy=policy,
-                                                    max_steps=max_steps)
+            candidate = observe(after, environment, policy)
             checked_policies += 1
             if not reference.semantically_equal(candidate):
                 difference = reference.explain_difference(candidate)

@@ -9,14 +9,13 @@ import pytest
 from repro.analysis.symbolic import (
     EQUIV_RULES,
     CompiledNet,
-    SymbolicAnalyzer,
     TruncationWarning,
     complete_prefix,
     equivalence_diagnostics,
     frontier_explore,
     por_explore,
+    safety_diagnostics,
     stubborn_set,
-    symbolic_semantically_equivalent,
 )
 from repro.core.equivalence import semantically_equivalent
 from repro.errors import DefinitionError, ExecutionError
@@ -162,7 +161,7 @@ class TestDifferentialMutants:
     def test_interface_mismatch_prescreened(self, zoo):
         _d1, gcd = zoo["gcd"]
         _d2, counter = zoo["counter"]
-        verdict = symbolic_semantically_equivalent(gcd, counter)
+        verdict = semantically_equivalent(gcd, counter, backend="symbolic")
         assert not verdict.equivalent
         assert "external interfaces differ" in verdict.reason
 
@@ -412,8 +411,7 @@ class TestDiagnosticsAndSarif:
         assert run["properties"]["systems"] == ["x", "y"]
 
     def test_safety_diagnostics_carry_witness(self):
-        analyzer = SymbolicAnalyzer(unsafe_net())
-        diagnostics = analyzer.safety_diagnostics(system="unsafe")
+        diagnostics = safety_diagnostics(unsafe_net(), system="unsafe")
         assert len(diagnostics) == 1
         assert diagnostics[0].rule == "SY001"
         assert "t1" in diagnostics[0].message or \
