@@ -79,24 +79,27 @@ class CompiledNet:
     """A :class:`~repro.petri.net.PetriNet` lowered to dense incidence form.
 
     Follows the exact frozen-order convention of
-    :class:`repro.semantics.vector.CompiledSystem`: ``places`` and
-    ``transitions`` in net insertion order, ``pre``/``post`` as dense
-    ``(T, P)`` integer matrices.  Token counts travel as ``int16`` rows
-    (the explorer's token bound is far below that range).
+    :class:`repro.semantics.vector.CompiledSystem`: both read ``places``,
+    ``transitions`` and the presets/postsets from the net's
+    :class:`~repro.petri.net.TokenIndex`, and here they become
+    ``pre``/``post``, dense ``(T, P)`` integer matrices.  Token counts
+    travel as ``int16`` rows (the explorer's token bound is far below
+    that range).
     """
 
     def __init__(self, net: PetriNet) -> None:
         self.net = net
-        self.places: tuple[str, ...] = tuple(net.places)
-        self.place_index = {p: i for i, p in enumerate(self.places)}
-        self.transitions: tuple[str, ...] = tuple(net.transitions)
+        index = net.token_index()
+        self.places: tuple[str, ...] = index.places
+        self.place_index = index.place_index
+        self.transitions: tuple[str, ...] = index.transitions
         n_p, n_t = len(self.places), len(self.transitions)
         self.pre = np.zeros((n_t, n_p), dtype=np.int16)
         self.post = np.zeros((n_t, n_p), dtype=np.int16)
         for ti, t in enumerate(self.transitions):
-            for p in net.preset(t):
+            for p in index.presets[t]:
                 self.pre[ti, self.place_index[p]] += 1
-            for p in net.postset(t):
+            for p in index.postsets[t]:
                 self.post[ti, self.place_index[p]] += 1
         self.delta = self.post - self.pre
         #: producers[p] = transition indices with place p in their postset

@@ -299,24 +299,24 @@ def semantically_equivalent(gamma: DataControlSystem,
     receive an independent copy of the environment and run under the
     maximal-step policy.
 
-    ``backend`` only picks the engine: ``"explicit"`` runs the
-    interpreter, ``"symbolic"`` the compiled vector engine
-    (:mod:`repro.semantics.vector`), after a static prescreen — systems
-    whose external arc names differ cannot have equal event structures,
-    so no run is needed.  An inequivalence verdict records both
+    A static prescreen comes first, on both backends: systems whose
+    external arc names differ cannot have equal event structures, so no
+    run is needed (and no environment has to feed inputs that only one
+    side reads).  ``backend`` then only picks the engine: ``"explicit"``
+    runs the interpreter, ``"symbolic"`` the compiled vector engine
+    (:mod:`repro.semantics.vector`).  An inequivalence verdict records both
     distinguishing firing sequences in :attr:`EquivalenceVerdict.witness`.
     """
     _check_backend(backend, "equivalence")
-    if backend == "symbolic":
-        ext_left = gamma.external_arc_names()
-        ext_right = gamma_prime.external_arc_names()
-        if ext_left != ext_right:
-            return EquivalenceVerdict(
-                False, "semantic",
-                "external interfaces differ: "
-                f"only-left={sorted(ext_left - ext_right)}, "
-                f"only-right={sorted(ext_right - ext_left)}",
-                backend=backend)
+    ext_left = gamma.external_arc_names()
+    ext_right = gamma_prime.external_arc_names()
+    if ext_left != ext_right:
+        return EquivalenceVerdict(
+            False, "semantic",
+            "external interfaces differ: "
+            f"only-left={sorted(ext_left - ext_right)}, "
+            f"only-right={sorted(ext_right - ext_left)}",
+            backend=backend)
 
     from ..semantics.environment import Environment
     from ..semantics.event_structure import event_structure_from_trace

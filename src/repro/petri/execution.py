@@ -10,11 +10,11 @@ ports from the data path (Definition 3.1(4): multiple guards are OR-ed).
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 from ..errors import ExecutionError
 from .marking import Marking
-from .net import PetriNet
+from .net import PetriNet, TokenIndex
 
 GuardEval = Callable[[str], bool]
 
@@ -24,10 +24,18 @@ def always_true(_transition: str) -> bool:
     return True
 
 
+def _preset(net: PetriNet, index: TokenIndex,
+            transition: str) -> Collection[str]:
+    """``•t`` from the index; a name that is no transition falls back to
+    :meth:`PetriNet.preset` (which raises for unknown names)."""
+    preset = index.presets.get(transition)
+    return preset if preset is not None else net.preset(transition)
+
+
 def is_enabled(net: PetriNet, marking: Marking, transition: str) -> bool:
     """Definition 3.1(3): a transition is enabled iff every input place
     holds at least one token."""
-    return marking.covers(net.preset(transition))
+    return marking.covers(_preset(net, net.token_index(), transition))
 
 
 def may_fire(net: PetriNet, marking: Marking, transition: str,
@@ -39,13 +47,13 @@ def may_fire(net: PetriNet, marking: Marking, transition: str,
 
 def enabled_transitions(net: PetriNet, marking: Marking) -> list[str]:
     """All enabled transitions (ignoring guards), in insertion order."""
-    return [t for t in net.transitions if is_enabled(net, marking, t)]
+    return net.token_index().enabled(marking)
 
 
 def fireable_transitions(net: PetriNet, marking: Marking,
                          guard_eval: GuardEval = always_true) -> list[str]:
     """All transitions that are enabled *and* guard-true, in insertion order."""
-    return [t for t in net.transitions if may_fire(net, marking, t, guard_eval)]
+    return [t for t in net.token_index().enabled(marking) if guard_eval(t)]
 
 
 def fire(net: PetriNet, marking: Marking, transition: str,
@@ -55,11 +63,13 @@ def fire(net: PetriNet, marking: Marking, transition: str,
     Raises :class:`~repro.errors.ExecutionError` if the transition is not
     fireable at ``marking``.
     """
-    if not is_enabled(net, marking, transition):
+    index = net.token_index()
+    preset = _preset(net, index, transition)
+    if not marking.covers(preset):
         raise ExecutionError(f"transition {transition!r} is not enabled")
     if not guard_eval(transition):
         raise ExecutionError(f"guard of transition {transition!r} is false")
-    return marking.after_firing(net.preset(transition), net.postset(transition))
+    return marking.after_firing(preset, index.postsets[transition])
 
 
 def fire_step(net: PetriNet, marking: Marking, transitions: Sequence[str],
@@ -72,20 +82,24 @@ def fire_step(net: PetriNet, marking: Marking, transitions: Sequence[str],
     This models one synchronous clock tick of the hardware, where several
     independent control-flow streams advance together.
     """
+    index = net.token_index()
     demand: dict[str, int] = {}
+    consume: list[str] = []
     for t in transitions:
-        if not may_fire(net, marking, t, guard_eval):
+        preset = _preset(net, index, t)
+        if not (marking.covers(preset) and guard_eval(t)):
             raise ExecutionError(f"transition {t!r} is not fireable in this step")
-        for place in net.preset(t):
+        for place in preset:
             demand[place] = demand.get(place, 0) + 1
+        consume.extend(preset)
     for place, need in demand.items():
         if marking[place] < need:
             raise ExecutionError(
                 f"step {list(transitions)!r} conflicts on place {place!r} "
                 f"({need} tokens demanded, {marking[place]} available)"
             )
-    consume = [p for t in transitions for p in net.preset(t)]
-    produce = [p for t in transitions for p in net.postset(t)]
+    postsets = index.postsets
+    produce = [p for t in transitions for p in postsets[t]]
     return marking.after_firing(consume, produce)
 
 
@@ -101,20 +115,31 @@ def maximal_step(net: PetriNet, marking: Marking,
     choice is canonical: no two fireable transitions ever compete for a
     token, so the "maximal step" is simply *all* fireable transitions.
 
+    Without ``priority`` and ``rng`` the scan visits only the index's
+    :meth:`~repro.petri.net.TokenIndex.candidates` — every other
+    transition has an unmarked preset place, so skipping it changes
+    neither the step nor which guards are evaluated.
+
     ``rng`` (a seeded :class:`random.Random`) shuffles the candidate
     order before the greedy scan — the one entry point for seeded
     nondeterministic choice.  The same seed always yields the same step
-    sequence, because the shuffle is the only randomness consumed.
+    sequence, because the shuffle is the only randomness consumed.  The
+    shuffle covers the full transition list, so the RNG consumption per
+    step depends only on the net.
     """
-    order = list(priority) if priority is not None else list(net.transitions)
-    if rng is not None:
-        rng.shuffle(order)
+    index = net.token_index()
+    if priority is None and rng is None:
+        order: Sequence[str] = index.candidates(marking)
+    else:
+        order = list(priority if priority is not None else index.transitions)
+        if rng is not None:
+            rng.shuffle(order)
     available: dict[str, int] = dict(marking)
     step: list[str] = []
     for t in order:
-        if not may_fire(net, marking, t, guard_eval):
+        preset = _preset(net, index, t)
+        if not (marking.covers(preset) and guard_eval(t)):
             continue
-        preset = net.preset(t)
         if all(available.get(p, 0) >= 1 for p in preset):
             for p in preset:
                 available[p] = available.get(p, 0) - 1

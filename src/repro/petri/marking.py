@@ -64,6 +64,10 @@ class Marking(Mapping[str, int]):
         """The set of places holding at least one token."""
         return frozenset(self._tokens)
 
+    def peak(self) -> int:
+        """The largest token count of any place (0 when empty)."""
+        return max(self._tokens.values(), default=0)
+
     def is_empty(self) -> bool:
         """True iff no place holds a token (execution terminated, 3.1(6))."""
         return not self._tokens
@@ -74,7 +78,11 @@ class Marking(Mapping[str, int]):
 
     def covers(self, places: Iterable[str]) -> bool:
         """True iff every listed place holds at least one token."""
-        return all(self._tokens.get(p, 0) >= 1 for p in places)
+        tokens = self._tokens  # stores positive counts only
+        for place in places:
+            if place not in tokens:
+                return False
+        return True
 
     # -- derivation ------------------------------------------------------------
     def after_firing(self, consume: Iterable[str], produce: Iterable[str]) -> "Marking":
@@ -92,7 +100,11 @@ class Marking(Mapping[str, int]):
                 tokens[place] = current - 1
         for place in produce:
             tokens[place] = tokens.get(place, 0) + 1
-        return Marking(tokens)
+        # every count left is positive: skip the constructor's checks
+        successor = Marking.__new__(Marking)
+        successor._tokens = tokens
+        successor._hash = None
+        return successor
 
     def with_tokens(self, **changes: int) -> "Marking":
         """Return a marking with the given absolute counts overridden."""

@@ -18,7 +18,7 @@ structural-relation algorithms below work on any net.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from ..errors import DefinitionError
 from .marking import Marking
@@ -63,15 +63,102 @@ class Transition:
         return self.name
 
 
+@dataclass(frozen=True, eq=False)
+class TokenIndex:
+    """The token game's view of one net structure, built once.
+
+    Every token game in the package — :func:`~repro.petri.execution.
+    maximal_step` and :func:`~repro.petri.execution.fire_step`, the
+    explicit explorer, the simulator's conflict check and the compiled
+    plans of :mod:`repro.semantics.vector` — reads presets, postsets and
+    orders from here instead of from the net's adjacency sets:
+
+    * ``places`` / ``transitions`` — insertion order; ``place_index`` and
+      ``rank`` give each element's position in it;
+    * ``presets`` / ``postsets`` — each transition's places as a tuple in
+      place order;
+    * ``consumers`` — each place's consuming transitions (its postset)
+      in rank order;
+    * ``unconditional`` — the transitions with an empty preset, in rank
+      order.
+
+    A transition is enabled only when every preset place is marked
+    (Definition 3.1(3)), so at a marking only the consumers of the marked
+    places and the unconditional transitions can be enabled:
+    :meth:`candidates` lists exactly those, in rank order.  The mappings
+    are shared with the callers and must be treated as read-only.
+    """
+
+    version: int
+    places: tuple[str, ...]
+    place_index: dict[str, int]
+    transitions: tuple[str, ...]
+    rank: dict[str, int]
+    presets: dict[str, tuple[str, ...]]
+    postsets: dict[str, tuple[str, ...]]
+    consumers: dict[str, tuple[str, ...]]
+    unconditional: tuple[str, ...]
+
+    @classmethod
+    def of(cls, net: "PetriNet") -> "TokenIndex":
+        places = tuple(net.places)
+        place_index = {p: i for i, p in enumerate(places)}
+        transitions = tuple(net.transitions)
+        by_place = place_index.__getitem__
+        presets = {t: tuple(sorted(net._pred[t], key=by_place))
+                   for t in transitions}
+        postsets = {t: tuple(sorted(net._succ[t], key=by_place))
+                    for t in transitions}
+        consumers: dict[str, list[str]] = {p: [] for p in places}
+        for t in transitions:
+            for p in presets[t]:
+                consumers[p].append(t)
+        return cls(
+            version=net._version,
+            places=places,
+            place_index=place_index,
+            transitions=transitions,
+            rank={t: i for i, t in enumerate(transitions)},
+            presets=presets,
+            postsets=postsets,
+            consumers={p: tuple(ts) for p, ts in consumers.items()},
+            unconditional=tuple(t for t in transitions if not presets[t]),
+        )
+
+    def candidates(self, marking: Marking) -> Sequence[str]:
+        """The transitions that may be enabled at ``marking``: consumers
+        of its marked places plus the unconditional ones, in rank order."""
+        consumers = self.consumers
+        if len(marking) == 1 and not self.unconditional:
+            for place in marking:
+                return consumers.get(place, ())
+        pool = set(self.unconditional)
+        for place in marking:
+            pool.update(consumers.get(place, ()))
+        return sorted(pool, key=self.rank.__getitem__)
+
+    def enabled(self, marking: Marking) -> list[str]:
+        """The transitions enabled at ``marking`` (Definition 3.1(3)), in
+        rank order."""
+        presets = self.presets
+        return [t for t in self.candidates(marking)
+                if marking.covers(presets[t])]
+
+
 @dataclass
 class PetriNet:
     """A marked Petri net ``(S, T, F, M0)`` with string-named elements.
 
-    The flow relation is stored twice (forward and backward adjacency) so
-    preset/postset queries are O(degree).  Mutation is only supported
-    through the ``add_*`` / ``remove_*`` methods, which maintain both
-    indices and validate names eagerly, raising
-    :class:`~repro.errors.DefinitionError` on misuse.
+    The flow relation is stored twice (forward and backward adjacency).
+    :meth:`preset` / :meth:`postset` copy one adjacency set into a
+    frozenset per call; the token games read the :class:`TokenIndex` from
+    :meth:`token_index` instead, which is built on first use and kept
+    until the structure changes.  Mutation is only supported through the
+    ``add_*`` / ``remove_*`` methods, which maintain both adjacencies,
+    count structural changes in a version number that retires the cached
+    index, and validate names eagerly, raising
+    :class:`~repro.errors.DefinitionError` on misuse.  The version and the
+    cached index take no part in equality, ``repr`` or :meth:`copy`.
     """
 
     name: str = "net"
@@ -82,6 +169,9 @@ class PetriNet:
     # backward adjacency: element name -> set of predecessor element names
     _pred: dict[str, set[str]] = field(default_factory=dict)
     initial: dict[str, int] = field(default_factory=dict)
+    _version: int = field(default=0, compare=False, repr=False)
+    _index: TokenIndex | None = field(default=None, compare=False,
+                                      repr=False)
 
     # ------------------------------------------------------------------
     # construction
@@ -91,6 +181,7 @@ class PetriNet:
         """Add a place.  ``marked=True`` is shorthand for one initial token."""
         self._check_fresh(name)
         place = Place(name, label)
+        self._version += 1
         self.places[name] = place
         self._succ[name] = set()
         self._pred[name] = set()
@@ -105,6 +196,7 @@ class PetriNet:
         """Add a transition."""
         self._check_fresh(name)
         transition = Transition(name, label)
+        self._version += 1
         self.transitions[name] = transition
         self._succ[name] = set()
         self._pred[name] = set()
@@ -131,6 +223,7 @@ class PetriNet:
             )
         if target in self._succ[source]:
             raise DefinitionError(f"duplicate flow arc {source!r} -> {target!r}")
+        self._version += 1
         self._succ[source].add(target)
         self._pred[target].add(source)
 
@@ -138,6 +231,7 @@ class PetriNet:
         """Remove a flow arc; raises if it does not exist."""
         if target not in self._succ.get(source, ()):
             raise DefinitionError(f"no flow arc {source!r} -> {target!r} to remove")
+        self._version += 1
         self._succ[source].discard(target)
         self._pred[target].discard(source)
 
@@ -149,6 +243,7 @@ class PetriNet:
             self.remove_arc(name, succ)
         for pred in list(self._pred[name]):
             self.remove_arc(pred, name)
+        self._version += 1
         del self.transitions[name]
         del self._succ[name]
         del self._pred[name]
@@ -161,6 +256,7 @@ class PetriNet:
             self.remove_arc(name, succ)
         for pred in list(self._pred[name]):
             self.remove_arc(pred, name)
+        self._version += 1
         del self.places[name]
         del self._succ[name]
         del self._pred[name]
@@ -197,6 +293,13 @@ class PetriNet:
             return frozenset(self._succ[name])
         except KeyError:
             raise DefinitionError(f"unknown net element {name!r}") from None
+
+    def token_index(self) -> TokenIndex:
+        """The :class:`TokenIndex` of the current structure (cached)."""
+        index = self._index
+        if index is None or index.version != self._version:
+            index = self._index = TokenIndex.of(self)
+        return index
 
     def arcs(self) -> Iterator[tuple[str, str]]:
         """Iterate over all flow arcs as ``(source, target)`` pairs."""

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..errors import ExecutionError
-from .execution import GuardEval, always_true, enabled_transitions
+from .execution import GuardEval, always_true
 from .marking import Marking
 from .net import PetriNet
 
@@ -103,8 +103,10 @@ def explore(net: PetriNet, *, max_markings: int = 100_000, token_bound: int = 8,
     start = initial if initial is not None else net.initial_marking()
     seen: dict[Marking, int] = {start: 0}
     graph.markings.append(start)
-    graph.bounded_by = max((start[p] for p in start), default=0)
+    graph.bounded_by = start.peak()
     queue: deque[int] = deque([0])
+    index = net.token_index()
+    presets, postsets = index.presets, index.postsets
 
     while queue:
         node = queue.popleft()
@@ -113,14 +115,13 @@ def explore(net: PetriNet, *, max_markings: int = 100_000, token_bound: int = 8,
             graph.terminals.append(node)
             continue
         fired_any = False
-        for transition in enabled_transitions(net, marking):
+        for transition in index.enabled(marking):
             if not guard_eval(transition):
                 continue
             fired_any = True
             successor = marking.after_firing(
-                net.preset(transition), net.postset(transition)
-            )
-            peak = max((successor[p] for p in successor), default=0)
+                presets[transition], postsets[transition])
+            peak = successor.peak()
             graph.bounded_by = max(graph.bounded_by, peak)
             if peak > token_bound:
                 graph.complete = False
@@ -261,19 +262,19 @@ def firing_sequences(net: PetriNet, *, max_depth: int, max_sequences: int = 100_
     """
     results: list[list[str]] = []
     start = net.initial_marking()
+    index = net.token_index()
 
     stack: list[tuple[Marking, list[str]]] = [(start, [])]
     while stack:
         marking, prefix = stack.pop()
         if len(results) >= max_sequences:
             raise ExecutionError("too many firing sequences to enumerate")
-        options = [t for t in enabled_transitions(net, marking) if guard_eval(t)]
+        options = [t for t in index.enabled(marking) if guard_eval(t)]
         if not options or len(prefix) >= max_depth:
             results.append(prefix)
             continue
         for transition in options:
             successor = marking.after_firing(
-                net.preset(transition), net.postset(transition)
-            )
+                index.presets[transition], index.postsets[transition])
             stack.append((successor, prefix + [transition]))
     return results

@@ -44,13 +44,16 @@ class SequentialPolicy:
     """Fire exactly one transition per step, lowest name first.
 
     The fully interleaved, deterministic schedule — useful as the second
-    point of the policy-invariance tests.
+    point of the policy-invariance tests.  Only the index's candidates
+    (consumers of marked places and preset-less transitions) are sorted:
+    no other transition can be enabled.
     """
 
     def choose(self, net: PetriNet, marking: Marking,
                guard_eval: GuardEval) -> list[str]:
+        candidates = net.token_index().candidates(marking)
         step = maximal_step(net, marking, guard_eval,
-                            priority=sorted(net.transitions))
+                            priority=sorted(candidates))
         return step[:1]
 
 

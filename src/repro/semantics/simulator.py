@@ -93,7 +93,7 @@ from ..datapath.operations import OpKind
 from ..datapath.ports import PortId
 from ..datapath.validate import com_order, com_vertices, live_com, undriven_values
 from ..errors import DefinitionError, ExecutionError, RuntimeFaultError, ValidationError
-from ..petri.execution import fire_step, is_enabled
+from ..petri.execution import fire_step
 from ..petri.marking import Marking
 from .environment import Environment
 from .policies import FiringPolicy, MaximalStepPolicy
@@ -478,7 +478,8 @@ class Simulator:
 
         Records and returns this step's choice conflicts.
         """
-        net = self._net
+        index = self._net.token_index()
+        consumers, presets = index.consumers, index.presets
         records = []
         # sorted: frozenset iteration order is hash-dependent, and with
         # several conflicted places in one step the record order (and the
@@ -487,8 +488,8 @@ class Simulator:
             if marking[place] >= 2:
                 continue
             fireable = [
-                t for t in net.postset(place)
-                if is_enabled(net, marking, t) and guard_eval(t)
+                t for t in consumers.get(place, ())
+                if marking.covers(presets[t]) and guard_eval(t)
             ]
             if len(fireable) > 1:
                 records.append(ConflictRecord(
@@ -788,9 +789,13 @@ class Simulator:
                 ctrl_seconds += perf_counter() - phase_start
                 break
 
+            presets = self._net.token_index().presets
             consumed: list[str] = []
             for transition in chosen:
-                consumed.extend(self._net.preset(transition))
+                preset = presets.get(transition)
+                # a name outside the net raises in PetriNet.preset
+                consumed.extend(preset if preset is not None
+                                else self._net.preset(transition))
             latch_plan: dict[PortId, tuple[Value, str]] = {}
             for place in sorted(set(consumed)):
                 activation = activations.pop(place, None)

@@ -469,7 +469,10 @@ class CompiledSystem:
     ``_state`` insertion order, then the combinational output ports,
     then the undriven registers of the ports whose undriven value is
     defined and whose vertex has inputs.
-    ``presets`` / ``postsets`` map each transition to its place tuples.
+    ``places``, ``place_index``, ``transitions``, ``presets`` and
+    ``postsets`` come from the net's
+    :class:`~repro.petri.net.TokenIndex` (``token_index``), which the
+    interpreter and the explicit explorer read too.
     Plans are compiled per reachable marking on first visit and shared
     by every lane, run and engine of this compiled system: a plan's
     ``(op, out, args)`` instruction list is derived once, and both the
@@ -480,11 +483,12 @@ class CompiledSystem:
         self.system = system
         dp = system.datapath
         net = system.net
-        self.places: tuple[str, ...] = tuple(net.places)
-        self.place_index = {p: i for i, p in enumerate(self.places)}
-        self.transitions: tuple[str, ...] = tuple(net.transitions)
-        self.presets = {t: tuple(net.preset(t)) for t in self.transitions}
-        self.postsets = {t: tuple(net.postset(t)) for t in self.transitions}
+        index = self.token_index = net.token_index()
+        self.places: tuple[str, ...] = index.places
+        self.place_index = index.place_index
+        self.transitions: tuple[str, ...] = index.transitions
+        self.presets = index.presets
+        self.postsets = index.postsets
         # register file: slot 0 is the permanent UNDEF pseudo register
         self.reg_of: dict[PortId, int] = {}
         initial: list[Value] = [UNDEF]
@@ -619,8 +623,7 @@ class CompiledSystem:
         plan.tape = [_scalar_instruction(*instr) for instr in instrs]
         plan.vec = None
         # token game: enabled transitions in insertion order
-        plan.enabled = tuple(t for t in self.transitions
-                             if marking.covers(self.presets[t]))
+        plan.enabled = tuple(self.token_index.enabled(marking))
         plan.enabled_index = {t: i for i, t in enumerate(plan.enabled)}
         plan.sorted_enabled = tuple(sorted(plan.enabled))
         plan.guard_regs = tuple(
@@ -633,11 +636,12 @@ class CompiledSystem:
             if 0 < n_enabled <= 62 else None)
         # choice-conflict candidates (dynamic Definition 3.2(3) check)
         enabled_set = set(plan.enabled)
+        consumers = self.token_index.consumers
         candidates = []
         for place in plan.marked_sorted:
             if marking[place] >= 2:
                 continue
-            base = sorted(t for t in self.system.net.postset(place)
+            base = sorted(t for t in consumers.get(place, ())
                           if t in enabled_set)
             if len(base) >= 2:
                 candidates.append(

@@ -182,7 +182,7 @@ PINNED: dict[str, str] = {
     "equiv-fir4-symbolic": "2286cc17c0ea67da",
     "equiv-fir8-explicit": "08143d1ba35fb55d",
     "equiv-fir8-symbolic": "2286cc17c0ea67da",
-    "equiv-gcd-counter-explicit": "f0f03e95b6305170",
+    "equiv-gcd-counter-explicit": "bf899be816c58d40",
     "equiv-gcd-counter-symbolic": "fd2554763f897f2e",
     "equiv-gcd-explicit": "08143d1ba35fb55d",
     "equiv-gcd-symbolic": "2286cc17c0ea67da",

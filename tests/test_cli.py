@@ -552,6 +552,15 @@ class TestEquiv:
         assert "NOT EQUIVALENT" in out
         assert "reason:" in out
 
+    @pytest.mark.parametrize("backend", ["explicit", "symbolic"])
+    def test_interface_prescreen_on_both_backends(self, backend, capsys):
+        # gcd and counter read different inputs: the interface check
+        # decides before any run, so no environment has to feed both
+        assert main(["equiv", "gcd", "counter", "--backend", backend]) == 1
+        out = capsys.readouterr().out
+        assert "reason: external interfaces differ" in out
+        assert f"backend={backend}" in out
+
     def test_witness_printed_for_behavioural_difference(self, tmp_path,
                                                         capsys):
         from repro.io import save
