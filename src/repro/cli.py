@@ -616,6 +616,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if batch.ok else 1
 
 
+def _step_budget(text: str) -> int:
+    """argparse type of every ``--max-steps``: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive step budget, got {text!r}")
+    return value
+
+
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=0,
                         help="process-pool size (0 = serial in-process)")
@@ -795,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="NAME=V1,V2,…",
                          help="input stream (repeatable); defaults to the "
                               "left design's built-in inputs")
-    p_equiv.add_argument("--max-steps", type=int, default=10_000)
+    p_equiv.add_argument("--max-steps", type=_step_budget, default=10_000)
     p_equiv.add_argument("--format", choices=("text", "json", "sarif"),
                          default="text")
     p_equiv.add_argument("--output", metavar="FILE",
@@ -833,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--input", action="append", default=[],
                        metavar="NAME=V1,V2,…",
                        help="input stream (repeatable)")
-    p_sim.add_argument("--max-steps", type=int, default=100_000)
+    p_sim.add_argument("--max-steps", type=_step_budget, default=100_000)
     p_sim.add_argument("--profile", action="store_true",
                        help="print step/evaluation/phase-time metrics")
     p_sim.add_argument("--profile-json", metavar="PATH",
@@ -869,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_faults.add_argument("--input", action="append", default=[],
                           metavar="NAME=V1,V2,…",
                           help="input stream (repeatable)")
-    p_faults.add_argument("--max-steps", type=int, default=10_000)
+    p_faults.add_argument("--max-steps", type=_step_budget, default=10_000)
     p_faults.add_argument("--format", choices=("text", "json"),
                           default="text")
     p_faults.add_argument("--output", metavar="PATH",
@@ -888,7 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="NAME=V1,V2,…",
                        help="environment for measured latency")
     p_syn.add_argument("--max-moves", type=int, default=32)
-    p_syn.add_argument("--max-steps", type=int, default=100_000)
+    p_syn.add_argument("--max-steps", type=_step_budget, default=100_000)
     p_syn.add_argument("--output", help="write optimized system as JSON")
     p_syn.add_argument("--portfolio", action="store_true",
                        help="multi-start portfolio search instead of one "
@@ -917,7 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cosim.add_argument("design")
     p_cosim.add_argument("--input", action="append", default=[],
                          metavar="NAME=V1,V2,…")
-    p_cosim.add_argument("--max-steps", type=int, default=100_000)
+    p_cosim.add_argument("--max-steps", type=_step_budget, default=100_000)
     p_cosim.set_defaults(func=cmd_cosim)
 
     p_batch = sub.add_parser(
@@ -962,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="NAME=V1,V2,…",
                          help="environment for measured latency")
     p_sweep.add_argument("--max-moves", type=int, default=32)
-    p_sweep.add_argument("--max-steps", type=int, default=100_000)
+    p_sweep.add_argument("--max-steps", type=_step_budget, default=100_000)
     p_sweep.add_argument("--emit-jobs", metavar="PATH",
                          help="write the job file instead of running it")
     _add_engine_options(p_sweep)
@@ -989,7 +1001,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--oracles", default=",".join(
         ("trace", "analysis", "monitor")),
         help="comma-separated oracle subset (default all three)")
-    p_fuzz.add_argument("--max-steps", type=int, default=256,
+    p_fuzz.add_argument("--max-steps", type=_step_budget, default=256,
                         help="simulation step cap per case (default 256)")
     p_fuzz.add_argument("--max-markings", type=int, default=4096,
                         help="reachability budget per case (default 4096)")

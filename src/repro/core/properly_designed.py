@@ -28,9 +28,9 @@ keeps the legacy ``details`` string list as a view over them.
 Rule 3 is verified on two levels: a *static* sufficient condition —
 guards are literally complementary (one guard port is the output of a
 ``not`` vertex fed from the other guard port), the pattern the synthesis
-frontend emits for if/while branches — and an optional *dynamic* sweep
-that simulates the system and reports any reachable marking where two
-competing transitions are simultaneously fireable.
+frontend emits for if/while branches — and a *dynamic* one: the
+simulator records every step where two competing transitions are
+fireable at once (:func:`repro.semantics.event_structure.observed_conflicts`).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from ..datapath.ports import PortId
 from ..diagnostics import Diagnostic, Location
 from ..errors import ValidationError
 from ..petri.properties import check_safety, unsafe_witness_message
@@ -177,20 +176,6 @@ def _check_safety(system: DataControlSystem, max_markings: int) -> CheckResult:
     return CheckResult.from_diagnostics("2: control net is safe", found)
 
 
-def _is_complement(system: DataControlSystem, a: PortId, b: PortId) -> bool:
-    """Deprecated shim for :func:`repro.analysis.lint.is_complement`."""
-    from ..analysis.lint import is_complement
-
-    return is_complement(system, a, b)
-
-
-def _guards_exclusive(system: DataControlSystem, t_1: str, t_2: str) -> bool:
-    """Deprecated shim for :func:`repro.analysis.lint.guards_exclusive`."""
-    from ..analysis.lint import guards_exclusive
-
-    return guards_exclusive(system, t_1, t_2)
-
-
 def _check_conflict_free(system: DataControlSystem) -> CheckResult:
     """Rule 3 (static): shared-place transitions carry exclusive guards."""
     from ..analysis.lint import conflict_diagnostics
@@ -237,20 +222,3 @@ def assert_properly_designed(system: DataControlSystem, *,
         raise ValidationError(
             "system is not properly designed:\n" + report.summary()
         )
-
-
-def dynamic_conflict_sweep(system: DataControlSystem, *, max_steps: int = 2000):
-    """Rule 3 (dynamic): simulate and report simultaneous fireable conflicts.
-
-    Returns a list of ``(step, place, t1, t2)`` tuples — empty means no
-    conflict was observed along the executed schedule.  Requires an
-    environment only when the system has input vertices; in that case the
-    caller should run the sweep through
-    :func:`repro.semantics.event_structure.observed_conflicts` instead,
-    which threads the environment through.
-    """
-    from ..semantics.environment import Environment
-    from ..semantics.simulator import Simulator
-
-    simulator = Simulator(system, Environment())
-    return simulator.run(max_steps=max_steps).conflicts

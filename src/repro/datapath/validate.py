@@ -193,6 +193,23 @@ def undriven_values(dp: DataPath, com: frozenset[str]
     return values, frozenset(always)
 
 
+def drive_sources(dp: DataPath, arc_names: Iterable[str]
+                  ) -> tuple[dict[PortId, set[PortId]],
+                             tuple[tuple[PortId, str], ...]]:
+    """Each input port the open arcs drive -> its source ports, and the
+    bus-drive conflicts (ports with two distinct sources, which read
+    UNDEF), sorted by port name, as ``(port, record detail)``."""
+    sources: dict[PortId, set[PortId]] = {}
+    for name in arc_names:
+        arc = dp.arc(name)
+        sources.setdefault(arc.target, set()).add(arc.source)
+    conflicts = tuple(
+        (port, f"input port {port} driven by {sorted(map(str, srcs))}")
+        for port, srcs in sorted(sources.items(), key=lambda item: str(item[0]))
+        if len(srcs) > 1)
+    return sources, conflicts
+
+
 def live_com(com: frozenset[str], always: frozenset[str],
              driven: Iterable[PortId]) -> frozenset[str]:
     """The COM vertices a step must evaluate: those owning a ``driven``

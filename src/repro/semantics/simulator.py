@@ -51,6 +51,17 @@ after any arc glitch a hook injected, so perturbed steps stay exact.
 Every trace carries a :class:`~repro.semantics.profile.SimMetrics`
 record of what the run cost.
 
+One activation table per control state
+--------------------------------------
+
+Which registers latch when a control state ``S`` loses its token
+(Definition 3.1(9)), which external arcs then emit events (Definition
+3.4) and which input pads are drawn when it gains one are fixed by
+``C(S)``: both engines read them from one :class:`ActivationTable` per
+state, built on its first activation, instead of walking the data path
+on every token move.  Values, and which source drives a latch input,
+stay per step.  Each guard is evaluated once per step.
+
 Hooks
 -----
 
@@ -89,9 +100,10 @@ from typing import Callable, Mapping, Sequence
 
 from ..core.events import ExternalEvent
 from ..core.system import DataControlSystem
-from ..datapath.operations import OpKind
+from ..datapath.operations import OpKind, Operation
 from ..datapath.ports import PortId
-from ..datapath.validate import com_order, com_vertices, live_com, undriven_values
+from ..datapath.validate import (com_order, com_vertices, drive_sources,
+                                 live_com, undriven_values)
 from ..errors import DefinitionError, ExecutionError, RuntimeFaultError, ValidationError
 from ..petri.execution import fire_step
 from ..petri.marking import Marking
@@ -100,9 +112,6 @@ from .policies import FiringPolicy, MaximalStepPolicy
 from .profile import SimMetrics
 from .trace import ConflictRecord, LatchRecord, Trace
 from .values import UNDEF, Value, truthy
-
-#: One conflict-analysis entry: (conflicted input port, record detail).
-_ConflictEntry = tuple[PortId, str]
 
 _VECTOR_CHECKPOINT_ERROR = (
     "the vector backend does not support checkpoint/resume; use "
@@ -160,7 +169,9 @@ class SimHook:
                       target, value: Value) -> Value:
         """Value tap: ``kind`` is ``"port"`` (target: :class:`PortId`,
         needs :attr:`perturbs_values`) or ``"guard"`` (target: the
-        transition name, value: the evaluated guard boolean)."""
+        transition name, value: the evaluated guard boolean).  A guard
+        is tapped once per transition per step, when the step first
+        reads it; the policy and the firing reuse the tapped value."""
         return value
 
     def post_token_game(self, sim: "Simulator", step: int, marking: Marking,
@@ -227,9 +238,66 @@ class _Plan:
     steps: tuple[tuple[tuple[PortId | None, ...],
                        tuple[tuple[PortId, Callable[..., Value]], ...]], ...]
     source_of: Mapping[PortId, PortId | None]
-    conflicts: tuple[_ConflictEntry, ...]
+    conflicts: tuple[tuple[PortId, str], ...]
     ports: int
     loop: ValidationError | None
+
+
+#: Latch modes of an activation table entry (Definition 3.1(9)).
+LATCH_OUT = 0     # OUTPUT record: takes the incoming value, UNDEF included
+LATCH_PLAIN = 1   # plain register: keeps its value when the input is UNDEF
+LATCH_FUNC = 2    # stateful function (e.g. accumulator): op.evaluate(old, in)
+
+
+@dataclass(frozen=True)
+class ActivationTable:
+    """What ``C(S)`` fixes about every activation of a control state.
+
+    ``events``: ``(arc, source port)`` per external arc, sorted by arc.
+    ``latches``: ``(input port, state port, LATCH_* mode, op)`` per
+    latching port of an arc's sequential target, by arc then out-port.
+    ``draws``: ``(input vertex, pad port)`` per pad an arc reads, sorted.
+    """
+
+    events: tuple[tuple[str, PortId], ...]
+    latches: tuple[tuple[PortId, PortId, int, Operation], ...]
+    draws: tuple[tuple[str, PortId], ...]
+
+
+def activation_table(system: DataControlSystem, place: str) -> ActivationTable:
+    """Lower one control state to its :class:`ActivationTable`."""
+    dp = system.datapath
+    events, latches, draws = [], [], set()
+    for arc_name in sorted(system.control_arcs(place)):
+        arc = dp.arc(arc_name)
+        source = dp.vertex(arc.source.vertex)
+        target = dp.vertex(arc.target.vertex)
+        if source.is_external or target.is_external:  # A_e (Def. 3.3)
+            events.append((arc_name, arc.source))
+        if source.is_input_vertex:
+            draws.add((source.name, PortId(source.name, source.out_ports[0])))
+        for port_name in target.out_ports:
+            op = target.operation(port_name)
+            if op.kind in (OpKind.SEQ, OpKind.OUTPUT):
+                mode = (LATCH_OUT if op.kind is OpKind.OUTPUT else
+                        LATCH_PLAIN if op.func is None else LATCH_FUNC)
+                latches.append((arc.target, PortId(target.name, port_name),
+                                mode, op))
+    return ActivationTable(tuple(events), tuple(latches),
+                           tuple(sorted(draws)))
+
+
+class ActivationTables(dict):
+    """``place -> ActivationTable`` of one system, each table built on
+    its first lookup (a run pays only for the states it activates)."""
+
+    def __init__(self, system: DataControlSystem) -> None:
+        super().__init__()
+        self.system = system
+
+    def __missing__(self, place: str) -> ActivationTable:
+        table = self[place] = activation_table(self.system, place)
+        return table
 
 
 @dataclass
@@ -259,8 +327,9 @@ class Simulator:
         ``"interpreter"`` (default) runs the step loop here;
         ``"vector"`` compiles the system once and delegates to
         :class:`repro.semantics.vector.VectorSimulator` (single-lane
-        batch, scalar engine) — byte-identical traces, typically an
-        order of magnitude faster on loop-heavy designs.  The vector
+        batch, scalar engine) — byte-identical traces, a median 4.9x
+        faster per run on E13b's counter loop (6,003 steps,
+        ``benchmarks/bench_e13_vector.py``, 2-vCPU host).  The vector
         backend supports no hooks, no checkpoints, and only the
         maximal-step, sequential, and seeded-maximal policies.
     """
@@ -298,12 +367,14 @@ class Simulator:
                     self._state[PortId(vertex.name, port)] = vertex.initial_value(port)
         self._event_index: dict[str, int] = {}
         self._activation_counter = 0
-        self._external = self.system.external_arc_names()
         # guard-port dependencies are marking-independent: freeze them once
         self._guard_ports = {t: self.system.guard_ports(t)
                              for t in self._net.transitions}
-        # memo tables: open arcs per marked-place set, plan per open-arc set
-        self._arcs_cache: dict[frozenset[str], frozenset[str]] = {}
+        # memo tables: activation table per control state; open arcs and
+        # contested places per marked-place set; plan per open-arc set
+        self._tables = ActivationTables(self.system)
+        self._arcs_cache: dict[frozenset[str],
+                               tuple[frozenset[str], tuple[str, ...]]] = {}
         self._plans: dict[frozenset[str], _Plan] = {}
         # hook dispatch: bind only *overridden* methods so an absent hook
         # costs one falsy check per call site and nothing else
@@ -339,15 +410,20 @@ class Simulator:
     # ------------------------------------------------------------------
     # combinational phase
     # ------------------------------------------------------------------
-    def _active_arcs(self, marked: frozenset[str]) -> frozenset[str]:
-        """Open arcs (``C(S)`` for every marked ``S``), memoized."""
+    def _active_arcs(self, marked: frozenset[str]
+                     ) -> tuple[frozenset[str], tuple[str, ...]]:
+        """Open arcs (``C(S)`` for every marked ``S``) and the marked
+        places two or more transitions consume from, sorted, memoized."""
         cached = self._arcs_cache.get(marked)
         if cached is not None:
             return cached
         active: set[str] = set()
         for place in marked:
             active.update(self.system.control_arcs(place))
-        result = frozenset(active)
+        consumers = self._net.token_index().consumers
+        result = (frozenset(active),
+                  tuple(sorted(p for p in marked
+                               if len(consumers.get(p, ())) >= 2)))
         if len(self._arcs_cache) < self._CACHE_LIMIT:
             self._arcs_cache[marked] = result
         return result
@@ -365,18 +441,7 @@ class Simulator:
         """Derive the plan: input sources, drive conflicts, and the
         topological order of the COM vertices the open arcs drive."""
         dp = self._dp
-        sources: dict[PortId, set[PortId]] = {}
-        for name in active:
-            arc = dp.arc(name)
-            sources.setdefault(arc.target, set()).add(arc.source)
-        # a port with two distinct active sources is a bus-drive
-        # conflict; it reads UNDEF
-        conflicts = tuple(
-            (port, f"input port {port} driven by {sorted(map(str, srcs))}")
-            for port, srcs in sorted(sources.items(),
-                                     key=lambda item: str(item[0]))
-            if len(srcs) > 1
-        )
+        sources, conflicts = drive_sources(dp, active)
         source_of = {port: next(iter(srcs)) if len(srcs) == 1 else None
                      for port, srcs in sources.items()}
         live = live_com(self._com, self._always, sources)
@@ -451,44 +516,43 @@ class Simulator:
     # control phase helpers
     # ------------------------------------------------------------------
     def _guard_eval(self, out_values: dict[PortId, Value]):
+        """This step's guard evaluator (Definition 3.1(4)): each
+        transition's guard is evaluated, and tapped, once per step."""
         guard_ports = self._guard_ports
         value_hooks = self._value_hooks
-
-        if not value_hooks:
-            def evaluate(transition: str) -> bool:
-                ports = guard_ports[transition]
-                if not ports:
-                    return True
-                return any(truthy(out_values.get(p, UNDEF)) for p in ports)
-            return evaluate
+        memo: dict[str, bool] = {}
 
         def evaluate(transition: str) -> bool:
+            value = memo.get(transition)
+            if value is not None:
+                return value
             ports = guard_ports[transition]
             value = (True if not ports
                      else any(truthy(out_values.get(p, UNDEF)) for p in ports))
             for resolve in value_hooks:
                 value = bool(resolve(self, self._current_step, "guard",
                                      transition, value))
+            memo[transition] = value
             return value
         return evaluate
 
-    def _choice_conflicts(self, marking: Marking, guard_eval, step: int,
+    def _choice_conflicts(self, marking: Marking, contested: tuple[str, ...],
+                          guard_eval, step: int,
                           trace: Trace) -> list[ConflictRecord]:
         """Dynamic Definition 3.2(3) check: competing fireable transitions.
 
-        Records and returns this step's choice conflicts.
+        Visits the ``contested`` places (see :meth:`_active_arcs`): sorted,
+        so the record order does not vary across runs.  Records and
+        returns this step's choice conflicts.
         """
         index = self._net.token_index()
         consumers, presets = index.consumers, index.presets
         records = []
-        # sorted: frozenset iteration order is hash-dependent, and with
-        # several conflicted places in one step the record order (and the
-        # conflict strict mode raises first) must not vary across runs
-        for place in sorted(marking.marked_places()):
+        for place in contested:
             if marking[place] >= 2:
                 continue
             fireable = [
-                t for t in consumers.get(place, ())
+                t for t in consumers[place]
                 if marking.covers(presets[t]) and guard_eval(t)
             ]
             if len(fireable) > 1:
@@ -503,74 +567,68 @@ class Simulator:
     def _start_activations(self, places: list[str], step: int,
                            activations: dict[str, _Activation]) -> None:
         """Open activations and draw environment values for input reads."""
-        draw: set[str] = set()
+        tables = self._tables
+        draws: list[tuple[str, PortId]] = []
         for place in places:
             self._activation_counter += 1
             activations[place] = _Activation(self._activation_counter, place, step)
-            for arc_name in self.system.control_arcs(place):
-                source = self._dp.arc(arc_name).source
-                if self._dp.vertex(source.vertex).is_input_vertex:
-                    draw.add(source.vertex)
-        for vertex in sorted(draw):
-            port = PortId(vertex, self._dp.vertex(vertex).out_ports[0])
+            draws.extend(tables[place].draws)
+        if len(places) > 1:
+            draws = sorted(set(draws))
+        for vertex, port in draws:
             self._state[port] = self.environment.draw(vertex)
 
     def _complete_activation(self, place: str, step: int,
                              activation: _Activation,
                              out_values: dict[PortId, Value],
-                             in_values_resolve,
+                             source_of: Mapping[PortId, PortId | None],
                              latch_plan: dict[PortId, tuple[Value, str]] | None,
                              trace: Trace) -> None:
         """Emit events and plan latches for a departing control state.
 
+        Latch inputs read through the step plan's ``source_of``.
         ``latch_plan=None`` emits events only — used when flushing the
         activations still open at quiescence, whose tokens never depart
         and whose registers therefore never commit.
         """
-        arcs = self.system.control_arcs(place)
+        table = self._tables[place]
+        get = out_values.get
         # external events (Definition 3.4)
-        for arc_name in sorted(arcs & self._external):
-            arc = self._dp.arc(arc_name)
-            value = out_values.get(arc.source, UNDEF)
-            index = self._event_index.get(arc_name, 0)
-            self._event_index[arc_name] = index + 1
+        event_index = self._event_index
+        for arc_name, source in table.events:
+            index = event_index.get(arc_name, 0)
+            event_index[arc_name] = index + 1
             trace.events.append(ExternalEvent(
-                arc=arc_name, value=value, index=index, state=place,
-                activation=activation.ident, start=activation.start, end=step,
+                arc=arc_name, value=get(source, UNDEF), index=index,
+                state=place, activation=activation.ident,
+                start=activation.start, end=step,
             ))
         # latch plan (Definition 3.1(9))
         if latch_plan is None:
             return
-        for arc_name in sorted(arcs):
-            arc = self._dp.arc(arc_name)
-            vertex = self._dp.vertex(arc.target.vertex)
-            if not vertex.is_sequential:
-                continue
-            incoming = in_values_resolve(arc.target)
-            for port_name in vertex.out_ports:
-                op = vertex.operation(port_name)
-                if op.kind not in (OpKind.SEQ, OpKind.OUTPUT):
-                    continue
-                port = PortId(vertex.name, port_name)
-                old = self._state.get(port, UNDEF)
-                if op.kind is OpKind.OUTPUT:
-                    new = incoming
-                elif op.func is None:  # plain register
-                    new = incoming if incoming is not UNDEF else old
-                else:  # stateful function, e.g. accumulator
-                    computed = op.evaluate(old, incoming)
-                    new = computed if computed is not UNDEF else old
-                if port in latch_plan and latch_plan[port][0] != new:
-                    record = ConflictRecord(
-                        step, "latch",
-                        f"port {port} latched by {latch_plan[port][1]!r} and "
-                        f"{place!r} in the same step",
-                    )
-                    trace.conflicts.append(record)
-                    if self.strict:
-                        raise ExecutionError(record.detail)
-                latch_plan[port] = (new, place)
-                trace.latches.append(LatchRecord(step, port, old, new, place))
+        state = self._state
+        for target, port, mode, op in table.latches:
+            incoming = get(source_of.get(target), UNDEF)
+            old = state.get(port, UNDEF)
+            if mode == LATCH_OUT:
+                new = incoming
+            elif mode == LATCH_PLAIN:
+                new = incoming if incoming is not UNDEF else old
+            else:
+                computed = op.evaluate(old, incoming)
+                new = computed if computed is not UNDEF else old
+            planned = latch_plan.get(port)
+            if planned is not None and planned[0] != new:
+                record = ConflictRecord(
+                    step, "latch",
+                    f"port {port} latched by {planned[1]!r} and "
+                    f"{place!r} in the same step",
+                )
+                trace.conflicts.append(record)
+                if self.strict:
+                    raise ExecutionError(record.detail)
+            latch_plan[port] = (new, place)
+            trace.latches.append(LatchRecord(step, port, old, new, place))
 
     # ------------------------------------------------------------------
     # hook and checkpoint plumbing
@@ -750,7 +808,7 @@ class Simulator:
             if len(marked) > peak_marked:
                 peak_marked = len(marked)
             phase_start = perf_counter()
-            active = self._active_arcs(marked)
+            active, contested = self._active_arcs(marked)
             if self._arc_overrides is not None:
                 opens, closes = self._arc_overrides
                 active = frozenset((active | opens) - closes)
@@ -763,12 +821,9 @@ class Simulator:
             comb_seconds += perf_counter() - phase_start
             phase_start = perf_counter()
 
-            def resolve(port: PortId, _ov=out_values,
-                        _source_of=plan.source_of) -> Value:
-                return _ov.get(_source_of.get(port), UNDEF)
-
             guard_eval = self._guard_eval(out_values)
-            choices = self._choice_conflicts(marking, guard_eval, step, trace)
+            choices = self._choice_conflicts(marking, contested, guard_eval,
+                                             step, trace)
             if self.strict and choices:
                 raise ExecutionError(choices[0].detail)
 
@@ -782,8 +837,8 @@ class Simulator:
                     activation = activations.pop(place, None)
                     if activation is not None:
                         self._complete_activation(
-                            place, step, activation, out_values, resolve,
-                            None, trace,
+                            place, step, activation, out_values,
+                            plan.source_of, None, trace,
                         )
                 trace.deadlocked = True
                 ctrl_seconds += perf_counter() - phase_start
@@ -804,7 +859,7 @@ class Simulator:
                         f"token leaves place {place!r} with no activation open"
                     )
                 self._complete_activation(place, step, activation, out_values,
-                                          resolve, latch_plan, trace)
+                                          plan.source_of, latch_plan, trace)
             for port, (value, _state) in latch_plan.items():
                 self._state[port] = value
 

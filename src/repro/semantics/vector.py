@@ -21,7 +21,9 @@ numeric form —
   COM vertices the open arcs drive, in topological order (each engine
   builds its *tape* from that list), the drive-conflict verdict, guard
   registers per enabled transition, choice-conflict candidates, and the
-  latch/event recipe for every departing place.  Every read of a COM
+  latch/event recipe for every departing place (the state's
+  :class:`~repro.semantics.simulator.ActivationTable`, the interpreter's
+  own, with its ports resolved to registers).  Every read of a COM
   port the plan does not evaluate goes to that port's undriven slot
   (slot 0 when the value is UNDEF, the port's own slot for a vertex
   without inputs), never to its own slot, which may still hold what an
@@ -78,20 +80,17 @@ from ..core.events import ExternalEvent
 from ..core.system import DataControlSystem
 from ..datapath.operations import OpKind, Operation
 from ..datapath.ports import PortId
-from ..datapath.validate import com_order, com_vertices, live_com, undriven_values
+from ..datapath.validate import (com_order, com_vertices, drive_sources,
+                                 live_com, undriven_values)
 from ..errors import DefinitionError, ExecutionError, ReproError, RuntimeFaultError, ValidationError
 from ..petri.marking import Marking
 from .environment import Environment
 from .policies import (FiringPolicy, MaximalStepPolicy, SeededMaximalPolicy,
                        SequentialPolicy)
 from .profile import SimMetrics
+from .simulator import LATCH_OUT, LATCH_PLAIN, ActivationTables
 from .trace import ConflictRecord, LatchRecord, Trace
 from .values import UNDEF, Value, as_word
-
-#: Latch recipe modes (see ``_Plan.completions``).
-_LATCH_OUT = 0     # OUTPUT record: take the incoming value, UNDEF included
-_LATCH_PLAIN = 1   # plain register: keep old value when incoming is UNDEF
-_LATCH_FUNC = 2    # stateful function (e.g. accumulator): op.evaluate
 
 #: Magnitude bounds below which int64 arithmetic cannot overflow.
 _ADD_BOUND = 1 << 62
@@ -414,23 +413,16 @@ def _vector_instruction(op: Operation, out: int, args: tuple[int, ...]):
 # ---------------------------------------------------------------------------
 # per-marking plans
 # ---------------------------------------------------------------------------
-class _Completion:
-    """Event + latch recipe for one place's departing activation."""
-
-    __slots__ = ("events", "latches")
-
-    def __init__(self, events, latches):
-        self.events = events    # tuple[(arc_name, source_reg)]
-        self.latches = latches  # tuple[(PortId, state_reg, in_reg, mode, op)]
-
-
 class _Plan:
     """Everything one marking determines, compiled to register indices.
 
     ``instrs`` evaluates only the COM vertices an open arc drives (plus
     any whose undriven evaluation raises); the instruction arguments,
     ``guard_regs``, event sources and latch inputs read every other COM
-    port from its undriven register.
+    port from its undriven register.  ``completions`` maps each marked
+    place to its departure recipe ``(events, latches)``: events as
+    ``(arc, source reg)``, latches as ``(PortId, state reg, input reg,
+    mode, op)``.
     """
 
     __slots__ = ("marking", "marked_sorted", "empty", "active",
@@ -472,7 +464,8 @@ class CompiledSystem:
     ``places``, ``place_index``, ``transitions``, ``presets`` and
     ``postsets`` come from the net's
     :class:`~repro.petri.net.TokenIndex` (``token_index``), which the
-    interpreter and the explicit explorer read too.
+    interpreter and the explicit explorer read too.  ``tables`` holds
+    each control state's activation table, built on first use.
     Plans are compiled per reachable marking on first visit and shared
     by every lane, run and engine of this compiled system: a plan's
     ``(op, out, args)`` instruction list is derived once, and both the
@@ -527,22 +520,10 @@ class CompiledSystem:
             self._undriven_reg[pid] = reg
         self.initial_values: tuple[Value, ...] = tuple(initial)
         self.num_regs = len(initial)
-        self._external = system.external_arc_names()
         self._guard_ports = {t: system.guard_ports(t)
                              for t in self.transitions}
-        self.input_regs = {
-            v.name: self.reg_of[PortId(v.name, v.out_ports[0])]
-            for v in dp.vertices.values() if v.is_input_vertex
-        }
-        # which input vertices each place's activation reads (draw sources)
-        self.place_draw: dict[str, frozenset[str]] = {}
-        for place in self.places:
-            sources = set()
-            for arc_name in system.control_arcs(place):
-                source = dp.arc(arc_name).source
-                if dp.vertex(source.vertex).is_input_vertex:
-                    sources.add(source.vertex)
-            self.place_draw[place] = frozenset(sources)
+        # what each control state's activations latch, emit and draw
+        self.tables = ActivationTables(system)
         self.initial_marking: Marking = net.initial_marking()
         self._plans: dict[Marking, _Plan] = {}
         self.plan_registry: list[_Plan] = []
@@ -589,17 +570,7 @@ class CompiledSystem:
             active_set.update(self.system.control_arcs(place))
         active = frozenset(active_set)
         plan.active = active
-        # drive-conflict analysis (identical entry order to the interpreter)
-        drivers: dict[PortId, set[PortId]] = {}
-        for name in active:
-            arc = dp.arc(name)
-            drivers.setdefault(arc.target, set()).add(arc.source)
-        entries = tuple(
-            (port, f"input port {port} driven by {sorted(map(str, sources))}")
-            for port, sources in sorted(drivers.items(),
-                                        key=lambda item: str(item[0]))
-            if len(sources) > 1
-        )
+        drivers, entries = drive_sources(dp, active)
         plan.conflict_details = tuple(detail for _port, detail in entries)
         # topological order of the COM vertices the open arcs drive ->
         # one (op, out, args) instruction list, from which both engines'
@@ -647,35 +618,30 @@ class CompiledSystem:
                 candidates.append(
                     (place, tuple((t, plan.enabled_index[t]) for t in base)))
         plan.candidates = tuple(candidates)
-        # departure recipes per marked place
-        completions: dict[str, _Completion] = {}
+        # departure recipes per marked place: the activation tables with
+        # their ports resolved to this plan's registers
+        reg_of = self.reg_of
+        completions = {}
         for place in plan.marked_sorted:
-            arcs = self.system.control_arcs(place)
-            events = tuple(
-                (arc_name, self._read_reg(dp.arc(arc_name).source, live))
-                for arc_name in sorted(arcs & self._external))
-            latches = []
-            for arc_name in sorted(arcs):
-                arc = dp.arc(arc_name)
-                vertex = dp.vertex(arc.target.vertex)
-                if not vertex.is_sequential:
-                    continue
-                in_reg = self._resolve_reg(arc.target, drivers, live)
-                for port_name in vertex.out_ports:
-                    op = vertex.operation(port_name)
-                    if op.kind not in (OpKind.SEQ, OpKind.OUTPUT):
-                        continue
-                    pid = PortId(vertex.name, port_name)
-                    if op.kind is OpKind.OUTPUT:
-                        mode = _LATCH_OUT
-                    elif op.func is None:
-                        mode = _LATCH_PLAIN
-                    else:
-                        mode = _LATCH_FUNC
-                    latches.append((pid, self.reg_of[pid], in_reg, mode, op))
-            completions[place] = _Completion(events, tuple(latches))
+            table = self.tables[place]
+            completions[place] = (
+                tuple((arc_name, self._read_reg(source, live))
+                      for arc_name, source in table.events),
+                tuple((pid, reg_of[pid],
+                       self._resolve_reg(target, drivers, live), mode, op)
+                      for target, pid, mode, op in table.latches))
         plan.completions = completions
         return plan
+
+    def draws_for(self, places) -> tuple[tuple[str, int], ...]:
+        """The environment draws when ``places`` gain their tokens: each
+        input vertex their activations read once, sorted, with its pad
+        register (the interpreter's order)."""
+        draws: set[tuple[str, PortId]] = set()
+        for place in places:
+            draws.update(self.tables[place].draws)
+        return tuple((vertex, self.reg_of[pad])
+                     for vertex, pad in sorted(draws))
 
     def vec_tape(self, plan: _Plan):
         """The numpy tape for a plan (built lazily on first group)."""
@@ -740,12 +706,11 @@ class CompiledSystem:
         remaining = plan.marking.marked_places() - set(consumed)
         produced = tuple(sorted(p for p in next_marking.marked_places()
                                 if p not in remaining))
-        draw: set[str] = set()
-        for place in produced:
-            draw.update(self.place_draw[place])
-        draws = tuple((v, self.input_regs[v]) for v in sorted(draw))
-        effects = _Effects(chosen, consumed, produced, draws, next_marking,
-                           self.plan_for(next_marking))
+        # the next plan first: compiling it builds the produced states'
+        # activation tables, which the draws read
+        next_plan = self.plan_for(next_marking)
+        effects = _Effects(chosen, consumed, produced,
+                           self.draws_for(produced), next_marking, next_plan)
         plan.effects[key] = effects
         return effects
 
@@ -903,13 +868,12 @@ class VectorSimulator:
         st.step = 0
         # initial activations + environment draws (interpreter order:
         # places sorted, then the union of draw sources sorted)
-        draw: set[str] = set()
-        for place in sorted(comp.initial_marking.marked_places()):
+        marked = sorted(comp.initial_marking.marked_places())
+        for place in marked:
             st.counter += 1
             st.activations[place] = (st.counter, 0)
-            draw.update(comp.place_draw[place])
-        for vertex in sorted(draw):
-            st.regs[comp.input_regs[vertex]] = st.env.draw(vertex)
+        for vertex, reg in comp.draws_for(marked):
+            st.regs[reg] = st.env.draw(vertex)
         return st
 
     def _run_scalar(self, lanes, kinds, max_steps, on_limit,
@@ -1025,7 +989,7 @@ class VectorSimulator:
                 if entry is None:  # pragma: no cover - defensive
                     continue
                 ident, start = entry
-                for arc_name, sreg in plan.completions[place].events:
+                for arc_name, sreg in plan.completions[place][0]:
                     index = st.event_index.get(arc_name, 0)
                     st.event_index[arc_name] = index + 1
                     trace.events.append(ExternalEvent(
@@ -1035,27 +999,28 @@ class VectorSimulator:
             trace.deadlocked = True
             self._finalise_scalar(st)
             return True
-        latch_plan: dict[PortId, tuple[Value, str, int]] = {}
+        # keyed by state register: a PortId hashes a tuple on every lookup
+        latch_plan: dict[int, tuple[Value, str]] = {}
         for place in effects.consumed:
             ident, start = st.activations.pop(place)
-            completion = plan.completions[place]
-            for arc_name, sreg in completion.events:
+            events, latches = plan.completions[place]
+            for arc_name, sreg in events:
                 index = st.event_index.get(arc_name, 0)
                 st.event_index[arc_name] = index + 1
                 trace.events.append(ExternalEvent(
                     arc=arc_name, value=regs[sreg], index=index, state=place,
                     activation=ident, start=start, end=step))
-            for pid, sreg, ireg, mode, op in completion.latches:
+            for pid, sreg, ireg, mode, op in latches:
                 old = regs[sreg]
                 incoming = regs[ireg]
-                if mode == _LATCH_OUT:
+                if mode == LATCH_OUT:
                     new = incoming
-                elif mode == _LATCH_PLAIN:
+                elif mode == LATCH_PLAIN:
                     new = incoming if incoming is not UNDEF else old
                 else:
                     computed = op.evaluate(old, incoming)
                     new = computed if computed is not UNDEF else old
-                prev = latch_plan.get(pid)
+                prev = latch_plan.get(sreg)
                 if prev is not None and prev[0] != new:
                     record = ConflictRecord(
                         step, "latch",
@@ -1064,9 +1029,9 @@ class VectorSimulator:
                     trace.conflicts.append(record)
                     if strict:
                         raise ExecutionError(record.detail)
-                latch_plan[pid] = (new, place, sreg)
+                latch_plan[sreg] = (new, place)
                 trace.latches.append(LatchRecord(step, pid, old, new, place))
-        for _pid, (value, _place, sreg) in latch_plan.items():
+        for sreg, (value, _place) in latch_plan.items():
             regs[sreg] = value
         trace.steps.append(list(effects.chosen))
         for place in effects.produced:
@@ -1108,13 +1073,11 @@ class VectorSimulator:
         plan_ids[:] = initial_plan.pid
         # open the initial activations and draw initial inputs
         marked0 = sorted(comp.initial_marking.marked_places())
-        draw0: set[str] = set()
         for place in marked0:
             pi = comp.place_index[place]
             counters += 1
             act_ident[pi, :] = counters
             act_start[pi, :] = 0
-            draw0.update(comp.place_draw[place])
         sel_all = np.arange(n)
 
         def fail(lane_indices, error: ReproError) -> None:
@@ -1142,8 +1105,7 @@ class VectorSimulator:
                 except ReproError as error:
                     fail([j], error)
 
-        do_draws(sel_all, tuple((v, comp.input_regs[v])
-                                for v in sorted(draw0)))
+        do_draws(sel_all, comp.draws_for(marked0))
 
         full = slice(None)  # whole-row view: skips fancy-index copies
         step = 0
@@ -1293,7 +1255,7 @@ class VectorSimulator:
                 # deadlock: flush events of every open activation
                 for place in plan.marked_sorted:
                     pi = comp.place_index[place]
-                    events = plan.completions[place].events
+                    events = plan.completions[place][0]
                     if events:
                         self._emit_events(events, place, pi, sel3, ix3,
                                           step, values, act_ident,
@@ -1309,20 +1271,20 @@ class VectorSimulator:
             conflict_chunks = []
             for place in effects.consumed:
                 pi = comp.place_index[place]
-                completion = plan.completions[place]
-                if completion.events:
-                    self._emit_events(completion.events, place, pi, sel3,
+                events, latches = plan.completions[place]
+                if events:
+                    self._emit_events(events, place, pi, sel3,
                                       ix3, step, values, act_ident,
                                       act_start, defined, event_index,
                                       chunks)
-                for pid, sreg, ireg, mode, op in completion.latches:
+                for pid, sreg, ireg, mode, op in latches:
                     old_v = values[sreg, ix3]
                     old_d = defined[sreg, ix3]
                     in_v = values[ireg, ix3]
                     in_d = defined[ireg, ix3]
-                    if mode == _LATCH_OUT:
+                    if mode == LATCH_OUT:
                         nv, nd = in_v, in_d
-                    elif mode == _LATCH_PLAIN:
+                    elif mode == LATCH_PLAIN:
                         nv = np.where(in_d, in_v, old_v)
                         nd = in_d | old_d
                     elif op.name == "acc":

@@ -37,7 +37,6 @@ from .register_sharing import (
 )
 from .verify import (
     BehaviouralReport,
-    assert_behaviourally_equivalent,
     behaviourally_equivalent,
 )
 
@@ -63,5 +62,4 @@ __all__ = [
     "live_places",
     "BehaviouralReport",
     "behaviourally_equivalent",
-    "assert_behaviourally_equivalent",
 ]

@@ -99,17 +99,3 @@ def behaviourally_equivalent(before: DataControlSystem,
                 )
     return BehaviouralReport(True, len(environments), checked_policies,
                              backend=backend)
-
-
-def assert_behaviourally_equivalent(before: DataControlSystem,
-                                    after: DataControlSystem,
-                                    environments: Sequence[Environment], *,
-                                    max_steps: int = 10_000,
-                                    backend: str = "explicit") -> None:
-    """Raise :class:`AssertionError` with the diff if the sweep fails."""
-    report = behaviourally_equivalent(before, after, environments,
-                                      max_steps=max_steps, backend=backend)
-    if not report:
-        raise AssertionError(
-            f"systems are not behaviourally equivalent: {report.failure}"
-        )

@@ -597,3 +597,54 @@ class TestEquiv:
         assert run["tool"]["driver"]["name"] == "repro-equiv"
         assert run["results"][0]["ruleId"] == "EQ001"
 
+
+
+class TestStepBudget:
+    """Every ``--max-steps`` rejects a non-positive budget as a usage
+    error (exit 2, the flag named, no traceback) before any work."""
+
+    VERBS = {
+        "simulate": ["simulate", "counter"],
+        "equiv": ["equiv", "counter", "counter"],
+        "faults": ["faults", "gcd", "--auto", "2"],
+        "synthesize": ["synthesize", "counter"],
+        "cosim": ["cosim", "counter"],
+        "sweep": ["sweep", "counter"],
+        "fuzz": ["fuzz", "--cases", "1"],
+    }
+
+    def test_every_budget_flag_is_covered(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        subparsers = next(action for action in parser._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        with_budget = {
+            verb for verb, sub in subparsers.choices.items()
+            if any("--max-steps" in action.option_strings
+                   for action in sub._actions)}
+        assert with_budget == set(self.VERBS)
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    def test_non_positive_budget_is_usage_error(self, capsys, verb, budget):
+        with pytest.raises(SystemExit) as raised:
+            main([*self.VERBS[verb], "--max-steps", budget])
+        assert raised.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"argument --max-steps: must be a positive step budget, "
+                f"got {budget!r}") in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_non_integer_budget_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["simulate", "counter", "--max-steps", "many"])
+        assert raised.value.code == 2
+        assert ("argument --max-steps: must be a positive step budget, "
+                "got 'many'" in capsys.readouterr().err)
+
+    def test_positive_budget_still_runs(self, capsys):
+        assert main(["simulate", "counter", "--max-steps", "500"]) == 0
