@@ -5,6 +5,10 @@ behaviour definition is operational.  This benchmark measures the
 simulator's throughput: control steps and external events per second on
 the looping zoo designs, plus scaling over a widening parallel design.
 The benchmarked kernel is a 200-iteration counter run.
+
+Each steps/s cell is the best of ``REPEATS`` warm runs (the same compiled
+system, after one untimed run; the designs take turns) on inputs long
+enough that a run's set-up is a small share of it.
 """
 
 import time
@@ -30,20 +34,44 @@ def wide_par_source(width: int) -> str:
     return "\n".join(lines)
 
 
+#: timed repetitions per design; the table keeps the fastest
+REPEATS = 9
+
+#: per design: inputs giving a run of hundreds to thousands of steps
+#: (zero streams keep diffeq and ewf within machine words)
+LONG_INPUTS = {
+    "counter": {"limit_in": [1000]},
+    "gcd": {"a_in": [4001], "b_in": [4]},
+    "diffeq": {"a_in": [400], "y_in": [0], "u_in": [0]},
+    "ewf": {"x_in": [200] + [0] * 200},
+    "isqrt": {"n_in": [10 ** 18]},
+    "traffic": {"cycles_in": [500]},
+}
+
+
 def test_e8_throughput_on_zoo(zoo, benchmark):
-    rows = []
-    for name in ("counter", "gcd", "diffeq", "ewf", "isqrt", "traffic"):
+    traces = {}
+    best = dict.fromkeys(LONG_INPUTS, float("inf"))
+    for name, inputs in LONG_INPUTS.items():  # untimed warm-up
         design, system = zoo[name]
-        env = design.environment()
-        started = time.perf_counter()
-        trace = simulate(system, env, max_steps=500_000)
-        elapsed = time.perf_counter() - started
+        simulate(system, design.environment(inputs), max_steps=500_000)
+    # round robin, so a slow spell of the host hits every design alike
+    for _ in range(REPEATS):
+        for name, inputs in LONG_INPUTS.items():
+            design, system = zoo[name]
+            env = design.environment(inputs)
+            started = time.perf_counter()
+            traces[name] = simulate(system, env, max_steps=500_000)
+            best[name] = min(best[name], time.perf_counter() - started)
+    rows = []
+    for name, trace in traces.items():
         rows.append([name, trace.step_count, trace.num_firings,
                      len(trace.events),
-                     round(trace.step_count / max(elapsed, 1e-9))])
+                     round(trace.step_count / max(best[name], 1e-9))])
     emit(format_table(
         ["design", "steps", "firings", "events", "steps/s"],
-        rows, title="E8: simulator throughput on the zoo"))
+        rows, title=f"E8: simulator throughput on the zoo (best of "
+                    f"{REPEATS} warm runs)"))
 
     big_counter = compile_source("""
         design bigcount { input l; output o; var n = 0, limit;

@@ -30,6 +30,7 @@ timeout, or kill its own worker process outright.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -74,9 +75,22 @@ def job_key(kind: str, system: Mapping[str, Any] | None,
     return hashlib.sha256(material.encode("ascii")).hexdigest()
 
 
+def _check_step_budget(value: Any, where: str) -> None:
+    """A job's ``max_steps`` must be a positive integer (as ``--max-steps``)."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or value <= 0):
+        raise DefinitionError(
+            f"{where} must be a positive step budget, got {value!r}")
+
+
 @dataclass(frozen=True, eq=True)
 class JobSpec:
-    """One unit of work for the batch engine (JSON-serializable)."""
+    """One unit of work for the batch engine (JSON-serializable).
+
+    The key is computed once per spec and memoised, so a spec's
+    ``system`` and ``params`` dicts must not be mutated after
+    construction: build a new spec instead.
+    """
 
     kind: str
     system: dict[str, Any] | None = None
@@ -92,8 +106,14 @@ class JobSpec:
         except (TypeError, ValueError) as error:
             raise DefinitionError(
                 f"job params are not JSON-serializable: {error}") from None
+        if "max_steps" in self.params:
+            _check_step_budget(self.params["max_steps"], "params.max_steps")
+        objective = self.params.get("objective")
+        if isinstance(objective, dict) and "max_steps" in objective:
+            _check_step_budget(objective["max_steps"],
+                               "params.objective.max_steps")
 
-    @property
+    @functools.cached_property
     def key(self) -> str:
         """Content-addressed identity of this job."""
         return job_key(self.kind, self.system, self.params)
@@ -417,24 +437,30 @@ def execute_job(spec: Mapping[str, Any]) -> dict[str, Any]:
     raise DefinitionError(f"unknown job kind {kind!r}")
 
 
-def _trace_payload(system, trace) -> dict[str, Any]:
-    """The JSON-safe summary of one trace (shared by simulate/vecbatch)."""
-    from ..designs.base import pad_outputs
-
+def _outcome_payload(outcome, pads) -> dict[str, Any]:
+    """The JSON-safe summary of one run's
+    :class:`~repro.semantics.trace.Outcome` (shared by simulate and
+    vecbatch); ``pads`` is the system's
+    :class:`~repro.designs.base.OutputPads`."""
+    events = outcome.events
     return {
-        "step_count": trace.step_count,
-        "firings": trace.num_firings,
-        "terminated": trace.terminated,
-        "deadlocked": trace.deadlocked,
-        "num_conflicts": len(trace.conflicts),
-        "events": [[e.arc, e.index, _json_value(e.value), e.state]
-                   for e in sorted(trace.events,
-                                   key=lambda e: (e.end, e.start, e.arc,
-                                                  e.index))],
+        "step_count": outcome.step_count,
+        "firings": outcome.firings,
+        "terminated": outcome.status == "terminated",
+        "deadlocked": outcome.status == "deadlocked",
+        "num_conflicts": outcome.num_conflicts,
+        "events": [[arc, index, _json_value(value), state]
+                   for _end, _start, arc, index, value, state in events],
         "outputs": {pad: [_json_value(v) for v in values]
-                    for pad, values in sorted(pad_outputs(system,
-                                                          trace).items())},
+                    for pad, values in sorted(pads.group(events).items())},
     }
+
+
+def _trace_payload(system, trace) -> dict[str, Any]:
+    """The JSON-safe summary of one trace."""
+    from ..designs.base import OutputPads
+
+    return _outcome_payload(trace.outcome(), OutputPads(system))
 
 
 def _run_simulate(system, params) -> dict[str, Any]:
@@ -565,6 +591,7 @@ def _run_vecbatch(system, params) -> dict[str, Any]:
 
 
 def _run_vecbatch_simulate(system, params) -> dict[str, Any]:
+    from ..designs.base import OutputPads
     from ..semantics.vector import Lane, VectorSimulator
 
     lanes = [Lane(_environment_from_dict(env))
@@ -572,8 +599,11 @@ def _run_vecbatch_simulate(system, params) -> dict[str, Any]:
     sim = VectorSimulator(system, strict=params.get("strict", True))
     result = sim.run(lanes, max_steps=params.get("max_steps", 10_000),
                      on_limit=params.get("on_limit", "raise"))
+    # outcomes, not traces: the numpy engine builds them straight from
+    # its columns without expanding a latch record
+    pads = OutputPads(system)
     return {"payload": {
-        "lanes": [_trace_payload(system, result.trace(i))
+        "lanes": [_outcome_payload(result.outcome(i), pads)
                   for i in range(len(lanes))],
     }, "sim_metrics": None}
 
@@ -658,7 +688,8 @@ def load_job_file(path: str) -> list[JobSpec]:
 
     Malformed JSON raises :class:`~repro.errors.ParseError`; a document
     with the wrong shape (missing ``jobs``, non-object entries, unknown
-    entry keys, missing ``kind``) raises
+    entry keys, missing ``kind``) or an invalid spec (an unknown kind, a
+    ``max_steps`` that is not a positive integer) raises
     :class:`~repro.errors.DefinitionError` naming the offending entry.
     """
     from ..errors import ParseError
@@ -705,5 +736,9 @@ def load_job_file(path: str) -> list[JobSpec]:
             raise DefinitionError(
                 f"job file: jobs[{position}].params must be an object, "
                 f"got {type(params).__name__}")
-        specs.append(JobSpec.from_dict(entry))
+        try:
+            specs.append(JobSpec.from_dict(entry))
+        except DefinitionError as error:
+            raise DefinitionError(
+                f"job file: jobs[{position}]: {error}") from None
     return specs

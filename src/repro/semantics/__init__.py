@@ -43,7 +43,7 @@ from .profile import (
     traces_equivalent,
 )
 from .simulator import Checkpoint, SimHook, Simulator, StepPerturbation, simulate
-from .trace import ConflictRecord, LatchRecord, Trace
+from .trace import ConflictRecord, LatchRecord, Outcome, Trace
 from .values import UNDEF, Value, as_word, is_defined, strict, truthy
 from .vector import (
     BatchResult,
@@ -70,6 +70,7 @@ __all__ = [
     "profile_simulation",
     "traces_equivalent",
     "Trace",
+    "Outcome",
     "LatchRecord",
     "ConflictRecord",
     "FiringPolicy",

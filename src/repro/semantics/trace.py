@@ -8,6 +8,7 @@ which the event structure (Definition 3.5) is assembled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..core.events import ExternalEvent
 from ..datapath.ports import PortId
@@ -42,6 +43,25 @@ class ConflictRecord:
     detail: str
 
 
+class Outcome(NamedTuple):
+    """What a run shows its environment: the part a job payload keeps.
+
+    The paper defines a run's observable behaviour by its external
+    events alone (Defs. 3.3-3.5); latches and fired steps are internal.
+    ``status`` is ``"terminated"``, ``"deadlocked"`` or ``"partial"``
+    (the step budget ran out under ``on_limit="return"``).  ``events``
+    are ``(end, start, arc, index, value, state)`` tuples in ascending
+    order: observation time first, then arc and occurrence, so ties
+    between arcs feeding one pad break deterministically.
+    """
+
+    step_count: int
+    status: str
+    firings: int
+    num_conflicts: int
+    events: list[tuple[int, int, str, int, Value, str]]
+
+
 @dataclass
 class Trace:
     """Complete record of one simulation run."""
@@ -62,6 +82,16 @@ class Trace:
     @property
     def num_firings(self) -> int:
         return sum(len(step) for step in self.steps)
+
+    def outcome(self) -> Outcome:
+        """The run's :class:`Outcome` (what a job payload is built from)."""
+        status = ("terminated" if self.terminated
+                  else "deadlocked" if self.deadlocked else "partial")
+        # (arc, index) is unique per run, so the sort never compares values
+        events = sorted((e.end, e.start, e.arc, e.index, e.value, e.state)
+                        for e in self.events)
+        return Outcome(self.step_count, status, self.num_firings,
+                       len(self.conflicts), events)
 
     def events_on(self, arc: str) -> list[ExternalEvent]:
         """Events observed on one external arc, in occurrence order."""

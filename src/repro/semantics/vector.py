@@ -47,7 +47,9 @@ system.  Two engines share the compiled plans:
   all lanes of a plan-group in one array op, grouping lanes by
   ``(plan, guard bits)`` so divergent control flow stays correct.
   Trace records are buffered as compact per-group chunks and expanded
-  to :class:`~repro.semantics.trace.Trace` objects lazily.
+  lazily: to :class:`~repro.semantics.trace.Trace` objects, or — reading
+  only the step, event and conflict chunks — to the per-lane
+  :class:`~repro.semantics.trace.Outcome` a job payload needs.
 
 Exactness contract: traces from either engine are **byte-identical** to
 the interpreter's (:func:`~repro.semantics.profile.traces_equivalent`),
@@ -89,7 +91,7 @@ from .policies import (FiringPolicy, MaximalStepPolicy, SeededMaximalPolicy,
                        SequentialPolicy)
 from .profile import SimMetrics
 from .simulator import LATCH_OUT, LATCH_PLAIN, ActivationTables
-from .trace import ConflictRecord, LatchRecord, Trace
+from .trace import ConflictRecord, LatchRecord, Outcome, Trace
 from .values import UNDEF, Value, as_word
 
 #: Magnitude bounds below which int64 arithmetic cannot overflow.
@@ -737,14 +739,25 @@ class Lane:
 
 
 class BatchResult:
-    """Per-lane traces of one batch run (extracted lazily)."""
+    """Per-lane results of one batch run.
 
-    def __init__(self, n: int, wall_seconds: float) -> None:
+    A lane reads two ways: :meth:`trace` gives the full
+    :class:`~repro.semantics.trace.Trace` (latches and steps included),
+    :meth:`outcome` only what the run shows its environment.  The numpy
+    engine keeps its chunk buffers until the first :meth:`trace` call
+    expands them; outcomes read them without expanding a latch record.
+    """
+
+    def __init__(self, n: int, wall_seconds: float,
+                 columns: _Columns | None = None) -> None:
         self._n = n
         self._wall = wall_seconds
-        self._traces: list[Trace | None] = [None] * n
-        self._errors: list[ReproError | None] = [None] * n
-        self._extract = None  # numpy engine: deferred chunk expansion
+        self._columns = columns  # numpy engine: chunk buffers
+        self._traces: list[Trace | None] | None = (
+            None if columns is not None else [None] * n)
+        self._outcomes: list[Outcome | None] | None = None
+        self._errors: list[ReproError | None] = (
+            columns.errors if columns is not None else [None] * n)
 
     def __len__(self) -> int:
         return self._n
@@ -756,15 +769,17 @@ class BatchResult:
 
     def error(self, index: int) -> ReproError | None:
         """The error that stopped a lane, or None (see ``capture_errors``)."""
-        self._materialise()
         return self._errors[index]
 
     def trace(self, index: int) -> Trace:
         """The lane's trace; raises the lane's captured error if it failed."""
-        self._materialise()
         error = self._errors[index]
         if error is not None:
             raise error
+        if self._traces is None:
+            # the traces hold everything the buffers did: drop them
+            self._traces = self._columns.traces()
+            self._columns = None
         trace = self._traces[index]
         assert trace is not None
         return trace
@@ -773,10 +788,19 @@ class BatchResult:
         """All traces (every lane must have succeeded)."""
         return [self.trace(i) for i in range(self._n)]
 
-    def _materialise(self) -> None:
-        if self._extract is not None:
-            extract, self._extract = self._extract, None
-            extract(self)
+    def outcome(self, index: int) -> Outcome:
+        """The lane's :class:`~repro.semantics.trace.Outcome`; raises the
+        lane's captured error if it failed, exactly as :meth:`trace`."""
+        error = self._errors[index]
+        if error is not None:
+            raise error
+        if self._columns is None:
+            return self.trace(index).outcome()
+        if self._outcomes is None:
+            self._outcomes = self._columns.outcomes()
+        outcome = self._outcomes[index]
+        assert outcome is not None
+        return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -1203,10 +1227,8 @@ class VectorSimulator:
                     active[j] = False
         wall = perf_counter() - wall_start
 
-        result = BatchResult(n, wall)
-        result._extract = self._make_extractor(
-            n, chunks, finals, errors, values, defined, wall)
-        return result
+        return BatchResult(n, wall, _Columns(
+            self.compiled, chunks, finals, errors, values, defined, wall))
 
     def _numpy_subgroup(self, plan, kind, bits, sel2, ix2, step, values,
                         defined, act_ident, act_start, counters, plan_ids,
@@ -1358,86 +1380,140 @@ class VectorSimulator:
                            _owned(defined[sreg, ix]),
                            indices, idents, starts))
 
-    def _make_extractor(self, n, chunks, finals, errors, values, defined,
-                        wall):
-        comp = self.compiled
 
-        def extract(result: BatchResult) -> None:
-            traces = [Trace() for _ in range(n)]
-            steps_lists = [t.steps for t in traces]
-            events_lists = [t.events for t in traces]
-            latches_lists = [t.latches for t in traces]
-            firings = [0] * n
-            # millions of records: bypass the frozen-dataclass __init__
-            # (five object.__setattr__ calls each) by populating __dict__
-            # directly — equality/hash/repr are unaffected
-            new_event = ExternalEvent.__new__
-            new_latch = LatchRecord.__new__
-            for chunk in chunks:
-                tag = chunk[0]
-                if tag == "steps":
-                    _, _step, sel, chosen = chunk
-                    # one shared list per chunk: Trace.steps entries are
-                    # value-compared and never mutated by the library
-                    chosen_list = list(chosen)
-                    width = len(chosen_list)
-                    for j in sel.tolist():
-                        steps_lists[j].append(chosen_list)
-                        firings[j] += width
-                elif tag == "event":
-                    (_, step_, arc_name, place, sel, vals, defs, indices,
-                     idents, starts) = chunk
-                    base = {"arc": arc_name, "value": None, "index": 0,
-                            "state": place, "activation": 0, "start": 0,
-                            "end": step_}
-                    for j, value, is_def, index, ident, start in zip(
-                            sel.tolist(), vals.tolist(), defs.tolist(),
-                            indices.tolist(), idents.tolist(),
-                            starts.tolist()):
-                        record = new_event(ExternalEvent)
-                        rd = record.__dict__
-                        rd.update(base)
-                        rd["value"] = value if is_def else UNDEF
-                        rd["index"] = index
-                        rd["activation"] = ident
-                        rd["start"] = start
-                        events_lists[j].append(record)
-                elif tag == "latch":
-                    _, step_, pid, place, sel, old_v, old_d, nv, nd = chunk
-                    base = {"step": step_, "port": pid, "old": None,
-                            "new": None, "state": place}
-                    for j, ov, od, v, d in zip(
-                            sel.tolist(), old_v.tolist(), old_d.tolist(),
-                            nv.tolist(), nd.tolist()):
-                        record = new_latch(LatchRecord)
-                        rd = record.__dict__
-                        rd.update(base)
-                        rd["old"] = ov if od else UNDEF
-                        rd["new"] = v if d else UNDEF
-                        latches_lists[j].append(record)
-                else:  # conflict
-                    _, step_, sel, kind_, details = chunk
-                    records = [ConflictRecord(step_, kind_, detail)
-                               for detail in details]
-                    for j in sel.tolist():
-                        traces[j].conflicts.extend(records)
-            for j in range(n):
-                if errors[j] is not None:
-                    result._errors[j] = errors[j]
-                    continue
-                final = finals[j]
-                assert final is not None
-                trace = traces[j]
-                trace.terminated = final["status"] == "terminated"
-                trace.deadlocked = final["status"] == "deadlocked"
-                trace.step_count = final["step"]
-                trace.final_marking = final["plan"].marking
-                trace.final_state = {
-                    pid: (int(values[reg, j]) if defined[reg, j] else UNDEF)
-                    for pid, reg in comp.state_ports}
-                trace.metrics = SimMetrics(steps=trace.step_count,
-                                           firings=firings[j],
-                                           wall_seconds=wall)
-                result._traces[j] = trace
+class _Columns:
+    """The numpy engine's chunk buffers for one batch, read two ways.
 
-        return extract
+    Chunks are ``("steps", step, lanes, chosen)``, ``("event", step,
+    arc, place, lanes, values, defined, indices, activations, starts)``,
+    ``("latch", step, port, place, lanes, old, old_defined, new,
+    new_defined)`` and ``("conflict", step, lanes, kind, details)``, in
+    the order the run made them; each chunk's lane array holds distinct
+    lanes.  ``finals[j]`` is the lane's ``{"status", "step", "plan"}``.
+    """
+
+    def __init__(self, comp: CompiledSystem, chunks, finals, errors,
+                 values, defined, wall) -> None:
+        self.comp = comp
+        self.n = len(finals)
+        self.chunks = chunks
+        self.finals = finals
+        self.errors = errors
+        self.values = values
+        self.defined = defined
+        self.wall = wall
+
+    def outcomes(self) -> list[Outcome | None]:
+        """Every successful lane's outcome, in one pass over the
+        ``steps``, ``event`` and ``conflict`` chunks (None for failed
+        lanes)."""
+        n = self.n
+        firings = np.zeros(n, dtype=np.int64)
+        conflicts = np.zeros(n, dtype=np.int64)
+        events: list[list] = [[] for _ in range(n)]
+        for chunk in self.chunks:
+            tag = chunk[0]
+            if tag == "steps":
+                firings[chunk[2]] += len(chunk[3])
+            elif tag == "event":
+                (_, end, arc_name, place, sel, vals, defs, indices, _idents,
+                 starts) = chunk
+                for j, value, is_def, index, start in zip(
+                        sel.tolist(), vals.tolist(), defs.tolist(),
+                        indices.tolist(), starts.tolist()):
+                    events[j].append((end, start, arc_name, index,
+                                      value if is_def else UNDEF, place))
+            elif tag == "conflict":
+                conflicts[chunk[2]] += len(chunk[4])
+        outcomes: list[Outcome | None] = [None] * n
+        for j, (final, lane_events, fired, clashes) in enumerate(zip(
+                self.finals, events, firings.tolist(), conflicts.tolist())):
+            if self.errors[j] is None:
+                # (arc, index) is unique per lane: the sort never
+                # compares values
+                lane_events.sort()
+                outcomes[j] = Outcome(final["step"], final["status"], fired,
+                                      clashes, lane_events)
+        return outcomes
+
+    def traces(self) -> list[Trace | None]:
+        """Every successful lane's full trace (None for failed lanes)."""
+        n = self.n
+        values, defined = self.values, self.defined
+        traces = [Trace() for _ in range(n)]
+        steps_lists = [t.steps for t in traces]
+        events_lists = [t.events for t in traces]
+        latches_lists = [t.latches for t in traces]
+        firings = [0] * n
+        # millions of records: bypass the frozen-dataclass __init__
+        # (five object.__setattr__ calls each) by populating __dict__
+        # directly — equality/hash/repr are unaffected
+        new_event = ExternalEvent.__new__
+        new_latch = LatchRecord.__new__
+        for chunk in self.chunks:
+            tag = chunk[0]
+            if tag == "steps":
+                _, _step, sel, chosen = chunk
+                # one shared list per chunk: Trace.steps entries are
+                # value-compared and never mutated by the library
+                chosen_list = list(chosen)
+                width = len(chosen_list)
+                for j in sel.tolist():
+                    steps_lists[j].append(chosen_list)
+                    firings[j] += width
+            elif tag == "event":
+                (_, step_, arc_name, place, sel, vals, defs, indices,
+                 idents, starts) = chunk
+                base = {"arc": arc_name, "value": None, "index": 0,
+                        "state": place, "activation": 0, "start": 0,
+                        "end": step_}
+                for j, value, is_def, index, ident, start in zip(
+                        sel.tolist(), vals.tolist(), defs.tolist(),
+                        indices.tolist(), idents.tolist(),
+                        starts.tolist()):
+                    record = new_event(ExternalEvent)
+                    rd = record.__dict__
+                    rd.update(base)
+                    rd["value"] = value if is_def else UNDEF
+                    rd["index"] = index
+                    rd["activation"] = ident
+                    rd["start"] = start
+                    events_lists[j].append(record)
+            elif tag == "latch":
+                _, step_, pid, place, sel, old_v, old_d, nv, nd = chunk
+                base = {"step": step_, "port": pid, "old": None,
+                        "new": None, "state": place}
+                for j, ov, od, v, d in zip(
+                        sel.tolist(), old_v.tolist(), old_d.tolist(),
+                        nv.tolist(), nd.tolist()):
+                    record = new_latch(LatchRecord)
+                    rd = record.__dict__
+                    rd.update(base)
+                    rd["old"] = ov if od else UNDEF
+                    rd["new"] = v if d else UNDEF
+                    latches_lists[j].append(record)
+            else:  # conflict
+                _, step_, sel, kind_, details = chunk
+                records = [ConflictRecord(step_, kind_, detail)
+                           for detail in details]
+                for j in sel.tolist():
+                    traces[j].conflicts.extend(records)
+        result: list[Trace | None] = [None] * n
+        for j in range(n):
+            if self.errors[j] is not None:
+                continue
+            final = self.finals[j]
+            assert final is not None
+            trace = traces[j]
+            trace.terminated = final["status"] == "terminated"
+            trace.deadlocked = final["status"] == "deadlocked"
+            trace.step_count = final["step"]
+            trace.final_marking = final["plan"].marking
+            trace.final_state = {
+                pid: (int(values[reg, j]) if defined[reg, j] else UNDEF)
+                for pid, reg in self.comp.state_ports}
+            trace.metrics = SimMetrics(steps=trace.step_count,
+                                       firings=firings[j],
+                                       wall_seconds=self.wall)
+            result[j] = trace
+        return result

@@ -253,6 +253,22 @@ class TestCachedBatches:
         assert second.metrics.cached == 1
         assert second.metrics.dispatched == 1
 
+    def test_key_is_computed_once_per_spec(self, tmp_path, zoo,
+                                           monkeypatch):
+        from repro.runtime import jobs
+
+        calls = []
+        real = jobs.job_key
+        monkeypatch.setattr(jobs, "job_key",
+                            lambda *args: calls.append(args) or real(*args))
+        specs = zoo_jobs(zoo)
+        engine = ExecutionEngine(cache=ResultCache(tmp_path / "c"))
+        cold = engine.run(specs)
+        warm = engine.run(specs)
+        assert [r.status for r in cold] == ["ok"] * len(specs)
+        assert [r.status for r in warm] == ["cached"] * len(specs)
+        assert len(calls) == len(specs)
+
     def test_failures_are_not_cached(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
         engine = ExecutionEngine(retries=0, backoff=0, cache=cache)

@@ -105,6 +105,49 @@ class TestSpecs:
             synthesize_job(system, algorithm="anneal")
 
 
+def _budget_specs(zoo, max_steps):
+    """One simulate, vecbatch and synthesize spec, each with ``max_steps``
+    overwritten (as a hand-edited job file would have it)."""
+    design, system = zoo["gcd"]
+    env = design.environment()
+    sim = simulate_job(system, env).to_dict()
+    sim["params"]["max_steps"] = max_steps
+    vec = vecbatch_simulate_job(system, [env]).to_dict()
+    vec["params"]["max_steps"] = max_steps
+    syn = synthesize_job(system).to_dict()
+    syn["params"]["objective"]["max_steps"] = max_steps
+    return {"simulate": sim, "vecbatch": vec, "synthesize": syn}
+
+
+class TestStepBudgets:
+    @pytest.mark.parametrize("kind", ["simulate", "vecbatch", "synthesize"])
+    @pytest.mark.parametrize("budget", [0, -1, "x", 2.5, True])
+    def test_bad_budget_rejected_at_construction(self, zoo, kind, budget):
+        entry = _budget_specs(zoo, budget)[kind]
+        where = ("params.objective.max_steps" if kind == "synthesize"
+                 else "params.max_steps")
+        with pytest.raises(DefinitionError) as info:
+            JobSpec.from_dict(entry)
+        assert str(info.value) == (
+            f"{where} must be a positive step budget, got {budget!r}")
+
+    @pytest.mark.parametrize("kind", ["simulate", "vecbatch", "synthesize"])
+    @pytest.mark.parametrize("budget", [0, -1, "x"])
+    def test_job_file_names_the_entry(self, tmp_path, zoo, kind, budget):
+        _design, system = zoo["gcd"]
+        path = tmp_path / "jobs.json"
+        path.write_text(json.dumps([check_job(system).to_dict(),
+                                    _budget_specs(zoo, budget)[kind]]))
+        with pytest.raises(DefinitionError,
+                           match=r"^job file: jobs\[1\]: .*must be a "
+                                 r"positive step budget"):
+            load_job_file(str(path))
+
+    def test_positive_budget_accepted(self, zoo):
+        for entry in _budget_specs(zoo, 1).values():
+            assert JobSpec.from_dict(entry).key
+
+
 class TestInterpreter:
     def test_simulate_payload_matches_direct_run(self, zoo):
         design, system = zoo["gcd"]
@@ -321,6 +364,23 @@ _PINNED_SPECS = {
     "vecbatch-simulate": lambda zoo: vecbatch_simulate_job(
         zoo["counter"][1], [zoo["counter"][0].environment()] * 3,
         max_steps=500),
+    # >= 8 lanes: the numpy engine, whose payloads come from its columns
+    "vecbatch-numpy-counter": lambda zoo: vecbatch_simulate_job(
+        zoo["counter"][1],
+        [zoo["counter"][0].environment({"limit_in": [n]})
+         for n in (0, 1, 2, 3, 5, 8, 13, 21)],
+        max_steps=500),
+    "vecbatch-numpy-ewf": lambda zoo: vecbatch_simulate_job(
+        zoo["ewf"][1],
+        [zoo["ewf"][0].environment(
+            {"x_in": [i % 6] + [(3 * i + k) % 7 - 2 for k in range(i % 6)]})
+         for i in range(16)],
+        max_steps=2000),
+    "vecbatch-numpy-partial": lambda zoo: vecbatch_simulate_job(
+        zoo["traffic"][1],
+        [zoo["traffic"][0].environment({"cycles_in": [n]})
+         for n in range(1, 11)],
+        max_steps=20, on_limit="return"),
     "vecbatch-faults": lambda zoo: vecbatch_faults_job(
         zoo["gcd"][1], [_fault("guard_invert:t_exit6:start=0"),
                         _fault("arc_close:a2:start=0")],
@@ -370,6 +430,21 @@ class TestKindPins:
          "f0389c9011b7d9f8926caeba",
          "b173202f1c7af3c0edc5e782e3316240077c03dc"
          "cd113cf187da0d0dea57a54a"),
+        ("vecbatch-numpy-counter",
+         "ca07b138da2bf7d27d5cdc0395223ac3ae4cf2ad"
+         "ded3de94db886f7e6b542783",
+         "518e2c7f84b53c127c4a37bdb5cf6062b865be4b"
+         "15729c2d51ec613a51e2c679"),
+        ("vecbatch-numpy-ewf",
+         "f877a0976941b5fa79ddef8a4f87720079934e7e"
+         "1df3faf6834c77428fffdf47",
+         "69f57fa8914f9e16288e94bb221ec06322011d37"
+         "4a365a03b13493db358c79a0"),
+        ("vecbatch-numpy-partial",
+         "aed98ad520b8d8aa1c513a3ff92b529a9f485bd8"
+         "f08c0d1ba94168d88be00e27",
+         "aee4ea3824eefd20c677c2b1c6887c584268ef18"
+         "5729807acf7992a603dab1a6"),
         ("vecbatch-faults",
          "8cc9163729f53a265a6e8799ca157402dcc56767"
          "e7b7d6641ff619dc5718d25f",

@@ -199,6 +199,22 @@ class TestBatch:
         assert blob["cached"] == 2
         assert blob["dispatched"] == 0
 
+    def test_batch_rejects_a_zero_step_budget(self, tmp_path, capsys):
+        from repro.runtime import synthesize_job, write_job_file
+
+        jobfile = tmp_path / "jobs.json"
+        write_job_file(str(jobfile), [synthesize_job(
+            get_design("gcd").build())])
+        document = json.loads(jobfile.read_text())
+        document["jobs"][0]["params"]["objective"]["max_steps"] = 0
+        jobfile.write_text(json.dumps(document))
+        assert main(["batch", str(jobfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            "definition error: job file: jobs[0]: params.objective.max_steps "
+            "must be a positive step budget, got 0"]
+
     def test_batch_results_json(self, tmp_path, capsys):
         from repro.runtime import probe_job, write_job_file
 
