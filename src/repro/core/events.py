@@ -24,7 +24,7 @@ control states must not influence equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from ..values import Value
 
@@ -32,9 +32,11 @@ from ..values import Value
 EventKey = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class ExternalEvent:
+class ExternalEvent(NamedTuple):
     """One occurrence of a value passing over an external arc.
+
+    A named tuple: both engines build one per emitted event, and
+    construction, hashing and equality run in C.
 
     Attributes
     ----------

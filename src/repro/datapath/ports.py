@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class Direction(enum.Enum):
@@ -25,9 +26,13 @@ class Direction(enum.Enum):
     OUT = "out"
 
 
-@dataclass(frozen=True)
-class PortId:
-    """Globally unique port reference: ``vertex.port``."""
+class PortId(NamedTuple):
+    """Globally unique port reference: ``vertex.port``.
+
+    A named tuple, so hashing and equality run in C: the engines look
+    values up by ``PortId`` on every step.  It equals (and hashes like)
+    the bare ``(vertex, port)`` tuple and orders like one.
+    """
 
     vertex: str
     port: str

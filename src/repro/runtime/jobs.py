@@ -83,6 +83,48 @@ def _check_step_budget(value: Any, where: str) -> None:
             f"{where} must be a positive step budget, got {value!r}")
 
 
+def _job_environments(params: Mapping[str, Any]):
+    """``(where, environment dict)`` for every environment in a job's
+    params: ``environment``, each of ``environments`` and the
+    synthesize objective's ``environment``."""
+    if params.get("environment") is not None:
+        yield "params.environment", params["environment"]
+    environments = params.get("environments")
+    if isinstance(environments, list):
+        for position, environment in enumerate(environments):
+            yield f"params.environments[{position}]", environment
+    objective = params.get("objective")
+    if isinstance(objective, dict) and objective.get("environment") is not None:
+        yield "params.objective.environment", objective["environment"]
+
+
+def _check_environment(data: Any, where: str) -> None:
+    """An environment's sequences must hold integers or ``"UNDEF"`` (how
+    :func:`_json_value` writes UNDEF) and its exhausted policy must be
+    known, so a job cannot fail on its stimulus after it was accepted."""
+    from ..semantics.environment import EXHAUSTED_POLICIES
+
+    sequences = data.get("sequences") if isinstance(data, dict) else None
+    if not isinstance(sequences, dict):
+        raise DefinitionError(
+            f"{where} must be an object with a 'sequences' object")
+    policy = data.get("exhausted_policy", "raise")
+    if policy not in EXHAUSTED_POLICIES:
+        raise DefinitionError(
+            f"{where}.exhausted_policy must be one of {EXHAUSTED_POLICIES}, "
+            f"got {policy!r}")
+    for vertex, values in sequences.items():
+        if not isinstance(values, list):
+            raise DefinitionError(
+                f"{where}.sequences[{vertex!r}] must be a list, got "
+                f"{type(values).__name__}")
+        for position, value in enumerate(values):
+            if not isinstance(value, int) and value != _UNDEF_JSON:
+                raise DefinitionError(
+                    f"{where}.sequences[{vertex!r}][{position}] must be an "
+                    f"integer or {_UNDEF_JSON!r}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=True)
 class JobSpec:
     """One unit of work for the batch engine (JSON-serializable).
@@ -112,6 +154,8 @@ class JobSpec:
         if isinstance(objective, dict) and "max_steps" in objective:
             _check_step_budget(objective["max_steps"],
                                "params.objective.max_steps")
+        for where, environment in _job_environments(self.params):
+            _check_environment(environment, where)
 
     @functools.cached_property
     def key(self) -> str:
@@ -144,11 +188,14 @@ def _environment_to_dict(environment) -> dict[str, Any] | None:
 
 def _environment_from_dict(data: Mapping[str, Any] | None):
     from ..semantics.environment import Environment
+    from ..semantics.values import UNDEF
 
     if data is None:
         return Environment()
-    return Environment({k: list(v) for k, v in data["sequences"].items()},
-                       exhausted_policy=data.get("exhausted_policy", "raise"))
+    return Environment(
+        {vertex: [UNDEF if v == _UNDEF_JSON else v for v in values]
+         for vertex, values in data["sequences"].items()},
+        exhausted_policy=data.get("exhausted_policy", "raise"))
 
 
 def _objective_to_dict(objective) -> dict[str, Any]:
@@ -173,6 +220,10 @@ def _objective_from_dict(data: Mapping[str, Any]):
         if environment is not None else None,
         max_steps=data.get("max_steps", 20_000),
     )
+
+
+#: How :func:`_json_value` writes UNDEF (``str(UNDEF)``).
+_UNDEF_JSON = "UNDEF"
 
 
 def _json_value(value) -> int | str:

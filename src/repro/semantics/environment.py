@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 from ..errors import DefinitionError, EnvironmentExhausted
 from .values import UNDEF, Value, as_word
 
-_POLICIES = ("raise", "hold", "cycle", "undef")
+EXHAUSTED_POLICIES = ("raise", "hold", "cycle", "undef")
 
 
 @dataclass
@@ -36,10 +36,10 @@ class Environment:
     _cursor: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.exhausted_policy not in _POLICIES:
+        if self.exhausted_policy not in EXHAUSTED_POLICIES:
             raise DefinitionError(
                 f"unknown exhausted policy {self.exhausted_policy!r}; "
-                f"choose one of {_POLICIES}"
+                f"choose one of {EXHAUSTED_POLICIES}"
             )
         self.sequences = {
             vertex: [as_word(v) for v in values]

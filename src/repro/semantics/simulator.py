@@ -327,7 +327,7 @@ class Simulator:
         ``"interpreter"`` (default) runs the step loop here;
         ``"vector"`` compiles the system once and delegates to
         :class:`repro.semantics.vector.VectorSimulator` (single-lane
-        batch, scalar engine) — byte-identical traces, a median 4.9x
+        batch, scalar engine) — byte-identical traces, a median 5.7x
         faster per run on E13b's counter loop (6,003 steps,
         ``benchmarks/bench_e13_vector.py``, 2-vCPU host).  The vector
         backend supports no hooks, no checkpoints, and only the
@@ -595,14 +595,13 @@ class Simulator:
         get = out_values.get
         # external events (Definition 3.4)
         event_index = self._event_index
+        ident, start = activation.ident, activation.start
         for arc_name, source in table.events:
             index = event_index.get(arc_name, 0)
             event_index[arc_name] = index + 1
             trace.events.append(ExternalEvent(
-                arc=arc_name, value=get(source, UNDEF), index=index,
-                state=place, activation=activation.ident,
-                start=activation.start, end=step,
-            ))
+                arc_name, get(source, UNDEF), index, place, ident, start,
+                step))
         # latch plan (Definition 3.1(9))
         if latch_plan is None:
             return

@@ -17,8 +17,7 @@ from .profile import SimMetrics
 from .values import Value
 
 
-@dataclass(frozen=True)
-class LatchRecord:
+class LatchRecord(NamedTuple):
     """One sequential update: ``vertex.port ← value`` at a given step."""
 
     step: int
@@ -28,8 +27,7 @@ class LatchRecord:
     state: str  # the controlling place whose departure caused the latch
 
 
-@dataclass(frozen=True)
-class ConflictRecord:
+class ConflictRecord(NamedTuple):
     """A runtime fault observed in non-strict mode.
 
     ``kind`` is one of ``"drive"`` (two active arcs driving one input

@@ -810,10 +810,7 @@ class _ScalarLane:
     """Mutable per-lane state for the scalar engine."""
 
     __slots__ = ("regs", "plan", "activations", "counter", "event_index",
-                 "trace", "env", "kind", "rng", "step", "finished")
-
-    def __init__(self) -> None:
-        self.finished = False
+                 "trace", "env", "kind", "rng", "step")
 
 
 class VectorSimulator:
@@ -927,144 +924,151 @@ class VectorSimulator:
 
     def _drive_scalar_lane(self, st: _ScalarLane, max_steps: int,
                            on_limit: str) -> None:
-        while not st.finished:
-            if st.step >= max_steps:
-                if on_limit == "raise":
-                    raise ExecutionError(
-                        f"simulation did not finish within {max_steps} steps")
-                self._finalise_scalar(st)
-                return
-            if self._scalar_step(st):
-                return
-            st.step += 1
+        """Advance one lane to termination, deadlock, or the budget.
+
+        One frame for the whole run: the lane's registers, plan, step,
+        activation counter and the trace's appenders live in locals, and
+        ``plan``/``step``/``counter`` go back to ``st`` before the lane
+        is finalised (or an error leaves it).
+        """
+        comp = self.compiled
+        strict = self.strict
+        regs = st.regs
+        plan, step, counter = st.plan, st.step, st.counter
+        activations, event_index = st.activations, st.event_index
+        kind, rng, env = st.kind, st.rng, st.env
+        trace = st.trace
+        add_conflict = trace.conflicts.append
+        add_event = trace.events.append
+        add_latch = trace.latches.append
+        add_step = trace.steps.append
+        try:
+            while True:
+                if step >= max_steps:
+                    if on_limit == "raise":
+                        raise ExecutionError(
+                            f"simulation did not finish within {max_steps} "
+                            "steps")
+                    break
+                if plan.empty:
+                    trace.terminated = True
+                    break
+                for detail in plan.conflict_details:
+                    add_conflict(ConflictRecord(step, "drive", detail))
+                    if strict:
+                        raise ExecutionError(detail)
+                if plan.comb_error is not None:
+                    raise RuntimeFaultError(
+                        f"combinational loop closed at step {step}: "
+                        f"{plan.comb_error}", step=step, kind="comb_loop")
+                for instr in plan.tape:
+                    instr(regs)
+                # guard truth per enabled transition, as a bitmask
+                bits = 0
+                for i, gregs in enumerate(plan.guard_regs):
+                    if not gregs:
+                        bits |= 1 << i
+                    else:
+                        for r in gregs:
+                            v = regs[r]
+                            if v is not UNDEF and v:
+                                bits |= 1 << i
+                                break
+                if plan.candidates:
+                    first = None
+                    for place, cand in plan.candidates:
+                        fireable = [t for t, i in cand if bits >> i & 1]
+                        if len(fireable) > 1:
+                            record = ConflictRecord(
+                                step, "choice",
+                                f"transitions {fireable} compete for the "
+                                f"token in place {place!r}")
+                            add_conflict(record)
+                            if first is None:
+                                first = record
+                    if strict and first is not None:
+                        raise ExecutionError(first.detail)
+                if kind == "rng":
+                    chosen = comp.seeded_chosen(plan, bits, rng)
+                    effects = comp.effects_for(plan, ("rng", chosen), chosen)
+                else:
+                    key = (kind, bits)
+                    effects = plan.effects.get(key)
+                    if effects is None:
+                        chosen = (comp.maximal_chosen(plan, bits)
+                                  if kind == "max"
+                                  else comp.sequential_chosen(plan, bits))
+                        effects = comp.effects_for(plan, key, chosen)
+                if not effects.chosen:
+                    # quiescent with tokens: deadlock; flush open
+                    # activations
+                    for place in plan.marked_sorted:
+                        entry = activations.pop(place, None)
+                        if entry is None:  # pragma: no cover - defensive
+                            continue
+                        ident, start = entry
+                        for arc_name, sreg in plan.completions[place][0]:
+                            index = event_index.get(arc_name, 0)
+                            event_index[arc_name] = index + 1
+                            add_event(ExternalEvent(
+                                arc_name, regs[sreg], index, place, ident,
+                                start, step))
+                    trace.deadlocked = True
+                    break
+                # keyed by state register: a dict hit on an int is cheaper
+                # than on a PortId
+                latch_plan: dict[int, tuple[Value, str]] = {}
+                for place in effects.consumed:
+                    ident, start = activations.pop(place)
+                    events, latches = plan.completions[place]
+                    for arc_name, sreg in events:
+                        index = event_index.get(arc_name, 0)
+                        event_index[arc_name] = index + 1
+                        add_event(ExternalEvent(
+                            arc_name, regs[sreg], index, place, ident, start,
+                            step))
+                    for pid, sreg, ireg, mode, op in latches:
+                        old = regs[sreg]
+                        incoming = regs[ireg]
+                        if mode == LATCH_OUT:
+                            new = incoming
+                        elif mode == LATCH_PLAIN:
+                            new = incoming if incoming is not UNDEF else old
+                        else:
+                            computed = op.evaluate(old, incoming)
+                            new = computed if computed is not UNDEF else old
+                        prev = latch_plan.get(sreg)
+                        if prev is not None and prev[0] != new:
+                            record = ConflictRecord(
+                                step, "latch",
+                                f"port {pid} latched by {prev[1]!r} and "
+                                f"{place!r} in the same step")
+                            add_conflict(record)
+                            if strict:
+                                raise ExecutionError(record.detail)
+                        latch_plan[sreg] = (new, place)
+                        add_latch(LatchRecord(step, pid, old, new, place))
+                for sreg, (value, _place) in latch_plan.items():
+                    regs[sreg] = value
+                add_step(list(effects.chosen))
+                for place in effects.produced:
+                    counter += 1
+                    activations[place] = (counter, step + 1)
+                for vertex, reg in effects.draws:
+                    regs[reg] = env.draw(vertex)
+                plan = effects.next_plan
+                step += 1
+        finally:
+            st.plan, st.step, st.counter = plan, step, counter
+        self._finalise_scalar(st)
 
     def _finalise_scalar(self, st: _ScalarLane) -> None:
-        st.finished = True
         trace = st.trace
         trace.step_count = st.step
         trace.final_marking = st.plan.marking
         trace.final_state = {pid: st.regs[reg]
                              for pid, reg in self.compiled.state_ports}
         trace.metrics = SimMetrics(steps=st.step, firings=trace.num_firings)
-
-    def _scalar_step(self, st: _ScalarLane) -> bool:
-        """Advance one lane one step; True when the lane finished."""
-        comp = self.compiled
-        plan = st.plan
-        step = st.step
-        trace = st.trace
-        regs = st.regs
-        strict = self.strict
-        if plan.empty:
-            trace.terminated = True
-            self._finalise_scalar(st)
-            return True
-        for detail in plan.conflict_details:
-            trace.conflicts.append(ConflictRecord(step, "drive", detail))
-            if strict:
-                raise ExecutionError(detail)
-        if plan.comb_error is not None:
-            raise RuntimeFaultError(
-                f"combinational loop closed at step {step}: "
-                f"{plan.comb_error}", step=step, kind="comb_loop")
-        for instr in plan.tape:
-            instr(regs)
-        # guard truth per enabled transition, as a bitmask
-        bits = 0
-        for i, gregs in enumerate(plan.guard_regs):
-            if not gregs:
-                bits |= 1 << i
-            else:
-                for r in gregs:
-                    v = regs[r]
-                    if v is not UNDEF and v:
-                        bits |= 1 << i
-                        break
-        if plan.candidates:
-            first = None
-            for place, cand in plan.candidates:
-                fireable = [t for t, i in cand if bits >> i & 1]
-                if len(fireable) > 1:
-                    record = ConflictRecord(
-                        step, "choice",
-                        f"transitions {fireable} compete for the token in "
-                        f"place {place!r}")
-                    trace.conflicts.append(record)
-                    if first is None:
-                        first = record
-            if strict and first is not None:
-                raise ExecutionError(first.detail)
-        if st.kind == "rng":
-            chosen = comp.seeded_chosen(plan, bits, st.rng)
-            key = ("rng", chosen)
-            effects = comp.effects_for(plan, key, chosen)
-        else:
-            key = (st.kind, bits)
-            effects = plan.effects.get(key)
-            if effects is None:
-                chosen = (comp.maximal_chosen(plan, bits)
-                          if st.kind == "max"
-                          else comp.sequential_chosen(plan, bits))
-                effects = comp.effects_for(plan, key, chosen)
-        if not effects.chosen:
-            # quiescent with tokens: deadlock; flush open activations
-            for place in plan.marked_sorted:
-                entry = st.activations.pop(place, None)
-                if entry is None:  # pragma: no cover - defensive
-                    continue
-                ident, start = entry
-                for arc_name, sreg in plan.completions[place][0]:
-                    index = st.event_index.get(arc_name, 0)
-                    st.event_index[arc_name] = index + 1
-                    trace.events.append(ExternalEvent(
-                        arc=arc_name, value=regs[sreg], index=index,
-                        state=place, activation=ident, start=start,
-                        end=step))
-            trace.deadlocked = True
-            self._finalise_scalar(st)
-            return True
-        # keyed by state register: a PortId hashes a tuple on every lookup
-        latch_plan: dict[int, tuple[Value, str]] = {}
-        for place in effects.consumed:
-            ident, start = st.activations.pop(place)
-            events, latches = plan.completions[place]
-            for arc_name, sreg in events:
-                index = st.event_index.get(arc_name, 0)
-                st.event_index[arc_name] = index + 1
-                trace.events.append(ExternalEvent(
-                    arc=arc_name, value=regs[sreg], index=index, state=place,
-                    activation=ident, start=start, end=step))
-            for pid, sreg, ireg, mode, op in latches:
-                old = regs[sreg]
-                incoming = regs[ireg]
-                if mode == LATCH_OUT:
-                    new = incoming
-                elif mode == LATCH_PLAIN:
-                    new = incoming if incoming is not UNDEF else old
-                else:
-                    computed = op.evaluate(old, incoming)
-                    new = computed if computed is not UNDEF else old
-                prev = latch_plan.get(sreg)
-                if prev is not None and prev[0] != new:
-                    record = ConflictRecord(
-                        step, "latch",
-                        f"port {pid} latched by {prev[1]!r} and {place!r} "
-                        f"in the same step")
-                    trace.conflicts.append(record)
-                    if strict:
-                        raise ExecutionError(record.detail)
-                latch_plan[sreg] = (new, place)
-                trace.latches.append(LatchRecord(step, pid, old, new, place))
-        for sreg, (value, _place) in latch_plan.items():
-            regs[sreg] = value
-        trace.steps.append(list(effects.chosen))
-        for place in effects.produced:
-            st.counter += 1
-            st.activations[place] = (st.counter, step + 1)
-        for vertex, reg in effects.draws:
-            regs[reg] = st.env.draw(vertex)
-        st.plan = effects.next_plan
-        return False
 
     # -- numpy engine ----------------------------------------------------
     def _run_numpy(self, lanes, kinds, max_steps, on_limit,
@@ -1445,11 +1449,6 @@ class _Columns:
         events_lists = [t.events for t in traces]
         latches_lists = [t.latches for t in traces]
         firings = [0] * n
-        # millions of records: bypass the frozen-dataclass __init__
-        # (five object.__setattr__ calls each) by populating __dict__
-        # directly — equality/hash/repr are unaffected
-        new_event = ExternalEvent.__new__
-        new_latch = LatchRecord.__new__
         for chunk in self.chunks:
             tag = chunk[0]
             if tag == "steps":
@@ -1464,34 +1463,21 @@ class _Columns:
             elif tag == "event":
                 (_, step_, arc_name, place, sel, vals, defs, indices,
                  idents, starts) = chunk
-                base = {"arc": arc_name, "value": None, "index": 0,
-                        "state": place, "activation": 0, "start": 0,
-                        "end": step_}
                 for j, value, is_def, index, ident, start in zip(
                         sel.tolist(), vals.tolist(), defs.tolist(),
                         indices.tolist(), idents.tolist(),
                         starts.tolist()):
-                    record = new_event(ExternalEvent)
-                    rd = record.__dict__
-                    rd.update(base)
-                    rd["value"] = value if is_def else UNDEF
-                    rd["index"] = index
-                    rd["activation"] = ident
-                    rd["start"] = start
-                    events_lists[j].append(record)
+                    events_lists[j].append(ExternalEvent(
+                        arc_name, value if is_def else UNDEF, index, place,
+                        ident, start, step_))
             elif tag == "latch":
                 _, step_, pid, place, sel, old_v, old_d, nv, nd = chunk
-                base = {"step": step_, "port": pid, "old": None,
-                        "new": None, "state": place}
                 for j, ov, od, v, d in zip(
                         sel.tolist(), old_v.tolist(), old_d.tolist(),
                         nv.tolist(), nd.tolist()):
-                    record = new_latch(LatchRecord)
-                    rd = record.__dict__
-                    rd.update(base)
-                    rd["old"] = ov if od else UNDEF
-                    rd["new"] = v if d else UNDEF
-                    latches_lists[j].append(record)
+                    latches_lists[j].append(LatchRecord(
+                        step_, pid, ov if od else UNDEF, v if d else UNDEF,
+                        place))
             else:  # conflict
                 _, step_, sel, kind_, details = chunk
                 records = [ConflictRecord(step_, kind_, detail)

@@ -23,7 +23,11 @@ from repro.runtime import (
     vecbatch_simulate_job,
     write_job_file,
 )
-from repro.semantics import simulate
+from repro.runtime.jobs import (_environment_from_dict, _environment_to_dict,
+                                _trace_payload)
+from repro.semantics import Environment, simulate
+from repro.semantics.values import UNDEF
+from repro.synthesis.optimize import Objective
 
 
 class TestKeys:
@@ -146,6 +150,75 @@ class TestStepBudgets:
     def test_positive_budget_accepted(self, zoo):
         for entry in _budget_specs(zoo, 1).values():
             assert JobSpec.from_dict(entry).key
+
+
+class TestEnvironmentValues:
+    def test_undef_round_trips(self):
+        environment = Environment({"x": [1, UNDEF]}, exhausted_policy="hold")
+        data = _environment_to_dict(environment)
+        assert data["sequences"] == {"x": [1, "UNDEF"]}
+        back = _environment_from_dict(data)
+        assert back.sequences == {"x": [1, UNDEF]}
+        assert back.sequences["x"][1] is UNDEF
+        assert back.exhausted_policy == "hold"
+
+    def test_simulate_job_with_an_undef_input_matches_direct_run(self, zoo):
+        design, system = zoo["fir4"]
+        streams = {k: list(v) for k, v in design.default_inputs.items()}
+        first = sorted(streams)[0]
+        streams[first][0] = UNDEF
+        job = simulate_job(system, Environment(streams))
+        out = execute_job(JobSpec.from_dict(
+            json.loads(json.dumps(job.to_dict()))).to_dict())
+        trace = simulate(system, Environment(streams))
+        assert out["payload"] == _trace_payload(system, trace)
+        assert ["a0", 0, "UNDEF"] == out["payload"]["events"][0][:3]
+
+    @pytest.mark.parametrize("value", ["oops", 2.5, None, [1]])
+    def test_non_integer_value_rejected(self, zoo, value):
+        design, system = zoo["gcd"]
+        entry = simulate_job(system, design.environment()).to_dict()
+        entry["params"]["environment"]["sequences"]["a_in"][0] = value
+        with pytest.raises(DefinitionError) as info:
+            JobSpec.from_dict(entry)
+        assert str(info.value) == (
+            "params.environment.sequences['a_in'][0] must be an integer or "
+            f"'UNDEF', got {value!r}")
+
+    def test_every_environment_of_a_job_is_checked(self, zoo):
+        design, system = zoo["gcd"]
+        vec = vecbatch_simulate_job(
+            system, [design.environment(), design.environment()]).to_dict()
+        vec["params"]["environments"][1]["sequences"]["b_in"] = ["oops"]
+        with pytest.raises(DefinitionError,
+                           match=r"^params\.environments\[1\]\.sequences"):
+            JobSpec.from_dict(vec)
+        syn = synthesize_job(system, Objective(
+            environment=design.environment())).to_dict()
+        syn["params"]["objective"]["environment"]["sequences"]["a_in"] = 3
+        with pytest.raises(DefinitionError,
+                           match=r"^params\.objective\.environment\."
+                                 r"sequences\['a_in'\] must be a list"):
+            JobSpec.from_dict(syn)
+
+    def test_unknown_exhausted_policy_rejected(self, zoo):
+        design, system = zoo["gcd"]
+        entry = simulate_job(system, design.environment()).to_dict()
+        entry["params"]["environment"]["exhausted_policy"] = "bogus"
+        with pytest.raises(DefinitionError,
+                           match=r"^params\.environment\.exhausted_policy "
+                                 r"must be one of .*, got 'bogus'$"):
+            JobSpec.from_dict(entry)
+
+    def test_job_file_names_the_entry(self, tmp_path, zoo):
+        design, system = zoo["gcd"]
+        entry = simulate_job(system, design.environment()).to_dict()
+        entry["params"]["environment"]["sequences"]["a_in"] = ["oops"]
+        path = tmp_path / "jobs.json"
+        path.write_text(json.dumps([check_job(system).to_dict(), entry]))
+        with pytest.raises(DefinitionError,
+                           match=r"^job file: jobs\[1\]: params\.environment"):
+            load_job_file(str(path))
 
 
 class TestInterpreter:

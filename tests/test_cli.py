@@ -215,6 +215,29 @@ class TestBatch:
             "definition error: job file: jobs[0]: params.objective.max_steps "
             "must be a positive step budget, got 0"]
 
+    @pytest.mark.parametrize("value,status", [("oops", 2), ("UNDEF", 0)])
+    def test_batch_environment_values(self, tmp_path, capsys, value, status):
+        from repro.runtime import simulate_job, write_job_file
+
+        design = get_design("gcd")
+        jobfile = tmp_path / "jobs.json"
+        write_job_file(str(jobfile), [simulate_job(
+            design.build(), design.environment())])
+        document = json.loads(jobfile.read_text())
+        document["jobs"][0]["params"]["environment"]["sequences"] = {
+            "a_in": [value], "b_in": [value]}
+        jobfile.write_text(json.dumps(document))
+        assert main(["batch", str(jobfile)]) == status
+        captured = capsys.readouterr()
+        if status == 2:
+            assert captured.out == ""
+            assert captured.err.strip().splitlines() == [
+                "definition error: job file: jobs[0]: params.environment."
+                "sequences['a_in'][0] must be an integer or 'UNDEF', got "
+                "'oops'"]
+        else:
+            assert "batch of 1 job(s)" in captured.out
+
     def test_batch_results_json(self, tmp_path, capsys):
         from repro.runtime import probe_job, write_job_file
 
