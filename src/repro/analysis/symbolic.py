@@ -53,7 +53,9 @@ violation and :func:`equivalence_diagnostics` an inequivalence verdict
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable
 
@@ -63,6 +65,7 @@ from ..diagnostics import Diagnostic, Location
 from ..errors import DefinitionError
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
+from ..petri.relations import bitset_matrix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.equivalence import EquivalenceVerdict
@@ -102,16 +105,22 @@ class CompiledNet:
             for p in index.postsets[t]:
                 self.post[ti, self.place_index[p]] += 1
         self.delta = self.post - self.pre
-        #: producers[p] = transition indices with place p in their postset
-        self.producers: list[np.ndarray] = [
-            np.nonzero(self.post[:, pi] > 0)[0] for pi in range(n_p)
-        ]
-        #: conflicting[t] = transition indices sharing a preset place with t
-        pre_bool = self.pre > 0
-        share = (pre_bool.astype(np.int16) @ pre_bool.astype(np.int16).T) > 0
-        self.conflicting: list[np.ndarray] = [
-            np.nonzero(share[ti])[0] for ti in range(n_t)
-        ]
+
+    @cached_property
+    def producers(self) -> list[np.ndarray]:
+        """``producers[p]``: the transition indices with place ``p`` in
+        their postset (only :func:`stubborn_set` reads them)."""
+        return [np.nonzero(self.post[:, pi] > 0)[0]
+                for pi in range(len(self.places))]
+
+    @cached_property
+    def conflicting(self) -> list[np.ndarray]:
+        """``conflicting[t]``: the transition indices sharing a preset
+        place with ``t``."""
+        pre = (self.pre > 0).astype(np.int16)
+        share = (pre @ pre.T) > 0
+        return [np.nonzero(share[ti])[0]
+                for ti in range(len(self.transitions))]
 
     # ------------------------------------------------------------------
     def marking_row(self, marking: Marking) -> np.ndarray:
@@ -267,22 +276,14 @@ def frontier_explore(net: PetriNet, *, max_markings: int = 1_000_000,
         empties = ~frontier.any(axis=1)
         graph.terminals += int(empties.sum())
         graph.deadlocks += int((~any_enabled & ~empties).sum())
-        # fire every enabled transition over the whole frontier at once
-        succ_chunks: list[np.ndarray] = []
-        src_chunks: list[np.ndarray] = []
-        via_chunks: list[np.ndarray] = []
-        for ti in range(n_t):
-            lanes = np.nonzero(enabled[ti])[0]
-            if not lanes.size:
-                continue
-            succ_chunks.append(frontier[lanes] + cn.delta[ti])
-            src_chunks.append(frontier_ids[lanes])
-            via_chunks.append(np.full(lanes.size, ti, dtype=np.int64))
-        if not succ_chunks:
+        # fire every enabled transition over the whole frontier at once;
+        # row-major order groups the successors by transition, then lane
+        tis, lanes = np.nonzero(enabled)
+        if not tis.size:
             break
-        succs = np.concatenate(succ_chunks, axis=0)
-        srcs = np.concatenate(src_chunks)
-        vias = np.concatenate(via_chunks)
+        succs = frontier[lanes] + cn.delta[tis]
+        srcs = frontier_ids[lanes]
+        vias = tis.astype(np.int64, copy=False)
         peak = int(succs.max()) if succs.size else 0
         graph.bounded_by = max(graph.bounded_by, peak)
         if peak > token_bound:
@@ -302,23 +303,22 @@ def frontier_explore(net: PetriNet, *, max_markings: int = 1_000_000,
                 f"token bound {token_bound} exceeded (a place reached "
                 f"{peak} tokens)")
             return finish()
-        # dedupe within the batch, keeping the first (src, via) per row
-        order = np.lexsort(succs.T[::-1])
-        succs, srcs, vias = succs[order], srcs[order], vias[order]
-        fresh_in_batch = np.ones(succs.shape[0], dtype=bool)
-        if succs.shape[0] > 1:
-            fresh_in_batch[1:] = (succs[1:] != succs[:-1]).any(axis=1)
-        succs, srcs, vias = (succs[fresh_in_batch], srcs[fresh_in_batch],
-                             vias[fresh_in_batch])
-        new_rows: list[int] = []
+        # the first (src, via) of each unseen row, then the new rows in
+        # lexicographic order (the order a stable sort of the batch gives)
+        first: dict[bytes, int] = {}
+        raw, width = succs.tobytes(), succs.shape[1] * succs.itemsize
         for i in range(succs.shape[0]):
-            key = succs[i].tobytes()
-            if key not in seen:
-                seen[key] = total + len(new_rows)
-                new_rows.append(i)
-        if not new_rows:
+            key = raw[i * width:(i + 1) * width]
+            if key not in seen and key not in first:
+                first[key] = i
+        if not first:
             break
-        keep = np.asarray(new_rows, dtype=np.int64)
+        keep = np.fromiter(first.values(), dtype=np.int64, count=len(first))
+        order = np.lexsort(succs[keep].T[::-1])
+        keep = keep[order]
+        keys = list(first)
+        for position, i in enumerate(order.tolist(), total):
+            seen[keys[i]] = position
         new = succs[keep]
         if total + new.shape[0] > max_markings:
             room = max(0, max_markings - total)
@@ -569,6 +569,19 @@ def complete_prefix(net: PetriNet, *, max_events: int = 10_000) -> Prefix:
     unfolding itself surfaces it (:meth:`Prefix.unsafe_places`); callers
     wanting a verdict for possibly-unsafe nets should fall back to
     :func:`frontier_explore`.
+
+    The unfolding proceeds in rounds.  A round extends the conditions
+    that were not cut off and existed when it began, visiting transitions
+    in rank order and, per transition, the pairwise-concurrent picks of
+    one condition per preset place (places by name, conditions by index)
+    in lexicographic order.  A pick made only of conditions an earlier
+    round already saw was extended then, so each round visits only the
+    consumers of places that gained a condition and only the picks that
+    hold one.  Every condition carries the events below it and, as
+    Python-int bitsets, its co-set and the conditions those events
+    consumed and produced.  A new event's outputs are concurrent with the
+    intersection of its inputs' co-sets and with each other, and its
+    local configuration's cut is initial ∪ produced ∖ consumed.
     """
     initial = net.initial_marking()
     if any(count > 1 for count in initial.values()):
@@ -578,57 +591,38 @@ def complete_prefix(net: PetriNet, *, max_events: int = 10_000) -> Prefix:
     prefix = Prefix(net_places=tuple(net.places))
     conditions = prefix.conditions
     events = prefix.events
-    # per condition b: the events causally below it, and a map
-    # {condition -> consuming event} over that history.  Local histories
-    # are conflict-free, so each condition has at most one consumer in
-    # any single history and the maps merge consistently.
-    cond_events: list[frozenset[int]] = []
-    cond_cmap: list[dict[int, int]] = []
-
     for place in initial:
         conditions.append(_Condition(len(conditions), place, -1))
-        cond_events.append(frozenset())
-        cond_cmap.append({})
+    initial_bits = (1 << len(conditions)) - 1
+    # per condition: the events causally below it (its producer's local
+    # configuration) and, as int bitsets, the conditions concurrent with
+    # it and the conditions those events consumed and produced
+    below: list[frozenset[int]] = [frozenset()] * len(conditions)
+    co = [initial_bits ^ (1 << b) for b in range(len(conditions))]
+    consumed = [0] * len(conditions)
+    produced = [0] * len(conditions)
 
-    def concurrent(b1: int, b2: int) -> bool:
-        """Standard occurrence-net co: neither causally ordered nor in
-        conflict."""
-        if b1 == b2:
-            return False
-        cmap1, cmap2 = cond_cmap[b1], cond_cmap[b2]
-        if b1 in cmap2 or b2 in cmap1:
-            return False  # causally ordered
-        if len(cmap1) > len(cmap2):
-            cmap1, cmap2 = cmap2, cmap1
-        for cond, consumer in cmap1.items():
-            other = cmap2.get(cond)
-            if other is not None and other != consumer:
-                return False  # conflict: one condition, two consumers
-        return True
-
-    def marking_of(config: frozenset[int]) -> frozenset[tuple[str, int]]:
-        """The cut of a configuration as a place multiset."""
-        consumed: set[int] = set()
-        produced: set[int] = set()
-        for e in config:
-            consumed.update(events[e].inputs)
-            produced.update(events[e].outputs)
-        initial_conds = {b for b in range(len(conditions))
-                         if conditions[b].producer < 0}
-        cut = (initial_conds | produced) - consumed
+    def marking_of(cut: int) -> frozenset[tuple[str, int]]:
+        """A cut as a place multiset."""
         counts: dict[str, int] = {}
-        for b in cut:
-            counts[conditions[b].place] = counts.get(conditions[b].place,
-                                                     0) + 1
+        for b in _set_bits(cut):
+            place = conditions[b].place
+            counts[place] = counts.get(place, 0) + 1
         return frozenset(counts.items())
 
     seen_markings: dict[frozenset[tuple[str, int]], int] = {
-        marking_of(frozenset()): 0
+        marking_of(initial_bits): 0
     }
-    transitions = list(net.transitions)
-    presets = {t: sorted(net.preset(t)) for t in transitions}
-    postsets = {t: sorted(net.postset(t)) for t in transitions}
-    known_events: set[tuple[str, tuple[int, ...]]] = set()
+    index = net.token_index()
+    rank = index.rank.__getitem__
+    presets = {t: sorted(net.preset(t)) for t in index.transitions}
+    postsets = {t: sorted(net.postset(t)) for t in index.transitions}
+    # conditions below a cutoff event are not extended further; the
+    # others join their place's pool when the next round begins.  Only
+    # consumers of a place are visited, so transitions with an empty
+    # preset (which would unfold unboundedly) never are.
+    pools: dict[str, list[int]] = {}
+    fresh = list(range(len(conditions)))
 
     progress = True
     while progress:
@@ -637,80 +631,99 @@ def complete_prefix(net: PetriNet, *, max_events: int = 10_000) -> Prefix:
             prefix.complete = False
             prefix.truncation_reason = f"event budget {max_events} exhausted"
             break
-        by_place: dict[str, list[int]] = {}
-        for cond in conditions:
-            # conditions below a cutoff event are not extended further
-            if cond.producer >= 0 and events[cond.producer].cutoff:
+        first_new = fresh[0] if fresh else len(conditions)
+        touched: set[str] = set()
+        for b in fresh:
+            place = conditions[b].place
+            pools.setdefault(place, []).append(b)
+            touched.update(index.consumers[place])
+        fresh = []
+        for t in sorted(touched, key=rank):
+            picks = [pools.get(p) for p in presets[t]]
+            if not all(picks):
                 continue
-            by_place.setdefault(cond.place, []).append(cond.index)
-        for t in transitions:
-            needed = presets[t]
-            if not needed:
-                continue  # source transitions would unfold unboundedly
-            pools = [by_place.get(p, []) for p in needed]
-            if any(not pool for pool in pools):
-                continue
-            for combo in _co_sets(pools, concurrent):
-                key = (t, tuple(sorted(combo)))
-                if key in known_events:
-                    continue
-                known_events.add(key)
-                history: set[int] = set()
-                cmap: dict[int, int] = {}
+            for combo in _co_sets(picks, first_new, co):
+                e = len(events)
+                eaten = made = 0
+                common = -1
                 for b in combo:
-                    history |= cond_events[b]
-                    cmap.update(cond_cmap[b])
-                event = _Event(len(events), t, tuple(sorted(combo)))
-                event.local_config = frozenset(history | {event.index})
+                    eaten |= consumed[b] | (1 << b)
+                    made |= produced[b]
+                    common &= co[b]
+                event = _Event(e, t, tuple(sorted(combo)))
+                history = event.local_config = frozenset((e,)).union(
+                    *(below[b] for b in combo))
                 events.append(event)
-                for b in combo:
-                    cmap[b] = event.index
-                below = frozenset(event.local_config)
-                outputs = []
-                for place in postsets[t]:
-                    cond = _Condition(len(conditions), place, event.index)
-                    conditions.append(cond)
-                    cond_events.append(below)
-                    cond_cmap.append(cmap)
-                    outputs.append(cond.index)
-                event.outputs = tuple(outputs)
-                mark = marking_of(event.local_config)
-                size = len(event.local_config)
+                first = len(conditions)
+                outputs = tuple(range(first, first + len(postsets[t])))
+                siblings = ((1 << len(outputs)) - 1) << first
+                made |= siblings
+                for b, place in zip(outputs, postsets[t]):
+                    conditions.append(_Condition(b, place, e))
+                    co.append(common | (siblings ^ (1 << b)))
+                    below.append(history)
+                    consumed.append(eaten)
+                    produced.append(made)
+                for b in _set_bits(common):
+                    co[b] |= siblings
+                event.outputs = outputs
+                mark = marking_of((initial_bits | made) & ~eaten)
+                size = len(history)
                 best = seen_markings.get(mark)
                 if best is not None and best < size:
                     event.cutoff = True
-                elif best is None or size < best:
-                    seen_markings[mark] = size
+                else:
+                    if best is None or size < best:
+                        seen_markings[mark] = size
+                    fresh.extend(outputs)
                 progress = True
                 if len(events) >= max_events:
                     break
             if len(events) >= max_events:
                 break
 
-    # final pairwise co-relation over conditions
-    n = len(conditions)
-    co = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if concurrent(i, j):
-                co[i, j] = co[j, i] = True
-    prefix._co = co
+    prefix._co = bitset_matrix(co, len(conditions))
     return prefix
 
 
-def _co_sets(pools: list[list[int]],
-             concurrent) -> Iterable[tuple[int, ...]]:
-    """All pairwise-concurrent picks of one condition per pool."""
-    def extend(prefix_combo: tuple[int, ...], rest: list[list[int]]):
-        if not rest:
-            yield prefix_combo
-            return
-        for candidate in rest[0]:
-            if candidate in prefix_combo:
+def _set_bits(bitset: int) -> list[int]:
+    """The positions of the set bits of a non-negative int, ascending."""
+    text = bin(bitset)[:1:-1]  # least significant bit first
+    out = []
+    position = text.find("1")
+    while position >= 0:
+        out.append(position)
+        position = text.find("1", position + 1)
+    return out
+
+
+def _co_sets(pools: list[list[int]], first_new: int,
+             co: list[int]) -> Iterable[tuple[int, ...]]:
+    """The pairwise-concurrent picks of one condition per pool that hold
+    at least one condition numbered ``first_new`` or above, in
+    lexicographic order.  Pools are ascending, so a pool's new conditions
+    are its tail."""
+    last = len(pools) - 1
+    if len(pools) == 1:
+        pool = pools[0]
+        return [(b,) for b in pool[bisect_left(pool, first_new):]]
+    # new_after[i]: some pool after the i-th holds a new condition
+    new_after = [False] * len(pools)
+    for i in range(last - 1, -1, -1):
+        new_after[i] = new_after[i + 1] or pools[i + 1][-1] >= first_new
+
+    def extend(i: int, combo: tuple[int, ...], mask: int, has_new: bool):
+        pool = pools[i]
+        start = 0 if has_new or new_after[i] else bisect_left(pool, first_new)
+        for b in pool[start:]:
+            if not (mask >> b) & 1:
                 continue
-            if all(concurrent(candidate, b) for b in prefix_combo):
-                yield from extend(prefix_combo + (candidate,), rest[1:])
-    yield from extend((), pools)
+            if i == last:
+                yield combo + (b,)
+            else:
+                yield from extend(i + 1, combo + (b,), mask & co[b],
+                                  has_new or b >= first_new)
+    return extend(0, (), -1, False)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ The **data dependence relation** ``◇`` is the transitive closure of ``↔``
 parallelised freely without changing the semantics — this is the licence
 the transformation engine operates under.
 
-The closure is computed over a boolean matrix with the vectorised
-repeated-squaring kernel shared with the structural relations.
+The closure is computed over a boolean matrix with the Tarjan bitset
+kernel shared with the structural relations.
 """
 
 from __future__ import annotations

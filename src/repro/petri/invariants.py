@@ -14,24 +14,25 @@ consequences are used in the library:
   properly-designed checker exploits as a fast pre-check before falling
   back to reachability analysis.
 
-The null-space computation is exact (fractions.Fraction Gaussian
-elimination), so invariants are exact integer vectors — floating point
-rank decisions would be unacceptable here.
+The null-space computation is exact (fraction-free integer elimination
+over sparse rows, each kept divided by its gcd), so invariants are exact
+integer vectors — floating point rank decisions would be unacceptable
+here.  A net's bases are computed once per structure and shared by
+every caller (properness, lint and the safety checks all ask for them).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-from typing import Sequence
+from math import gcd, lcm
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .marking import Marking
 from .net import PetriNet
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .net import TokenIndex
 
 
 def incidence_matrix(net: PetriNet) -> np.ndarray:
@@ -71,80 +72,122 @@ def apply_state_equation(net: PetriNet, marking: Marking, counts: dict[str, int]
     return result
 
 
-def _rational_nullspace(matrix: np.ndarray) -> list[list[Fraction]]:
-    """Exact basis of the (right) null space of ``matrix`` over ℚ.
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """``row`` divided by the gcd of its entries."""
+    divisor = gcd(*row.values())
+    if divisor > 1:
+        return {k: v // divisor for k, v in row.items()}
+    return row
 
-    Rows are kept as sparse ``{col: Fraction}`` dicts: Petri-net
+
+def _integer_nullspace(rows: Iterable[dict[int, int]],
+                       cols: int) -> list[list[int]]:
+    """Exact basis of the (right) null space of a sparse integer matrix.
+
+    ``rows`` are ``{col: value}`` dicts without zero entries.  Petri-net
     incidence matrices have only a handful of nonzeros per row (a
     transition touches its pre- and postset, nothing else), so sparse
-    elimination is near-linear where a dense sweep is cubic.  The
-    elimination keeps every pivot row at 1 on its own pivot column and
-    0 on all other pivot columns; the free-column construction below
-    only needs that property, not leftmost-pivot echelon form.
+    elimination is near-linear where a dense sweep is cubic.
+
+    The elimination is fraction-free: a row ``r`` loses column ``c`` of
+    pivot row ``q`` as ``q[c]·r − r[c]·q``, and every row is divided by
+    the gcd of its entries.  Each pivot row is then a positive integer
+    multiple of the rational row that keeps 1 on its own pivot column
+    and 0 on all other pivot columns, so both eliminations zero out the
+    same entries, pick the same pivot columns and span the same space.
+    Each free column ``f`` yields the primitive integer vector with a
+    positive entry at ``f`` — the smallest integer multiple of the
+    rational basis vector that has 1 there.
     """
-    rows_n, cols = matrix.shape
-    pivot_rows: dict[int, dict[int, Fraction]] = {}
-    for i in range(rows_n):
-        row = {j: Fraction(int(matrix[i, j])) for j in range(cols)
-               if matrix[i, j]}
-        # eliminate existing pivot columns; the subtractions only ever
-        # introduce entries on free columns, so one pass suffices
+    pivot_rows: dict[int, dict[int, int]] = {}
+    for source in rows:
+        row = dict(source)
+        # eliminate existing pivot columns; pivot rows are 0 on every
+        # other pivot column, so one pass suffices
         for col in sorted(c for c in row if c in pivot_rows):
-            factor = row.pop(col)
-            for k, v in pivot_rows[col].items():
-                if k == col:
-                    continue
-                value = row.get(k, _ZERO) - factor * v
-                if value:
-                    row[k] = value
-                else:
-                    row.pop(k, None)
+            pivot_row = pivot_rows[col]
+            scale, factor = pivot_row[col], row.pop(col)
+            if scale != 1:
+                row = {k: scale * v for k, v in row.items()}
+            for k, v in pivot_row.items():
+                if k != col:
+                    value = row.get(k, 0) - factor * v
+                    if value:
+                        row[k] = value
+                    else:
+                        del row[k]
         if not row:
             continue
         col = min(row)
-        pivot = row.pop(col)
-        row = {k: v / pivot for k, v in row.items()}
-        row[col] = _ONE
-        for prow in pivot_rows.values():
+        if row[col] < 0:
+            row = {k: -v for k, v in row.items()}
+        row = _primitive(row)
+        pivot = row[col]
+        for other, prow in pivot_rows.items():
             factor = prow.pop(col, None)
             if factor is None:
                 continue
+            if pivot != 1:
+                for k in prow:
+                    prow[k] *= pivot
             for k, v in row.items():
-                if k == col:
-                    continue
-                value = prow.get(k, _ZERO) - factor * v
-                if value:
-                    prow[k] = value
-                else:
-                    prow.pop(k, None)
+                if k != col:
+                    value = prow.get(k, 0) - factor * v
+                    if value:
+                        prow[k] = value
+                    else:
+                        del prow[k]
+            pivot_rows[other] = _primitive(prow)
         pivot_rows[col] = row
-    basis: list[list[Fraction]] = []
+    basis: list[list[int]] = []
     for free in range(cols):
         if free in pivot_rows:
             continue
-        vector = [_ZERO] * cols
-        vector[free] = _ONE
-        for col, prow in pivot_rows.items():
-            weight = prow.get(free)
-            if weight:
-                vector[col] = -weight
+        terms = [(col, prow[col], weight)
+                 for col, prow in pivot_rows.items()
+                 if (weight := prow.get(free))]
+        scale = lcm(*(pivot for _, pivot, _ in terms))
+        vector = [0] * cols
+        vector[free] = scale
+        for col, pivot, weight in terms:
+            vector[col] = -weight * (scale // pivot)
+        divisor = gcd(*vector)
+        if divisor > 1:
+            vector = [v // divisor for v in vector]
         basis.append(vector)
     return basis
 
 
-def _to_integer_vector(vector: Sequence[Fraction]) -> list[int]:
-    """Scale a rational vector to the smallest collinear integer vector."""
-    denominators = [value.denominator for value in vector]
-    lcm = 1
-    for d in denominators:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(value * lcm) for value in vector]
-    divisor = 0
-    for value in ints:
-        divisor = gcd(divisor, abs(value))
-    if divisor > 1:
-        ints = [value // divisor for value in ints]
-    return ints
+def invariant_basis(index: TokenIndex,
+                    kind: str) -> tuple[tuple[tuple[str, int], ...], ...]:
+    """The P- (``kind="p"``, ``yᵀ·N = 0``) or T-invariant (``N·x = 0``)
+    basis of one net structure as ``(name, weight)`` pairs per vector.
+
+    :class:`~repro.petri.net.TokenIndex` caches both bases; callers go
+    through :func:`p_invariants` and :func:`t_invariants`.
+    """
+    # the nonzero entries of N as {(place position, transition rank)}
+    entries: dict[tuple[int, int], int] = {}
+    for j, t in enumerate(index.transitions):
+        for p in index.postsets[t]:
+            entries[index.place_index[p], j] = 1
+        for p in index.presets[t]:
+            key = (index.place_index[p], j)
+            value = entries.pop(key, 0) - 1
+            if value:
+                entries[key] = value
+    if kind == "p":  # rows of Nᵀ: one per transition, over places
+        names = index.places
+        rows: list[dict[int, int]] = [{} for _ in index.transitions]
+        for (i, j), value in entries.items():
+            rows[j][i] = value
+    else:  # rows of N: one per place, over transitions
+        names = index.transitions
+        rows = [{} for _ in index.places]
+        for (i, j), value in entries.items():
+            rows[i][j] = value
+    return tuple(tuple((name, w) for name, w in zip(names, vector) if w)
+                 for vector in _integer_nullspace(rows, len(names)))
 
 
 def p_invariants(net: PetriNet) -> list[dict[str, int]]:
@@ -154,14 +197,7 @@ def p_invariants(net: PetriNet) -> list[dict[str, int]]:
     negative entries (semi-positive invariants are a cone, not a space —
     callers interested in safety should use :func:`positive_p_invariants`).
     """
-    matrix = incidence_matrix(net)
-    basis = _rational_nullspace(matrix.T)
-    places = net.place_names()
-    result = []
-    for vector in basis:
-        ints = _to_integer_vector(vector)
-        result.append({p: w for p, w in zip(places, ints) if w})
-    return result
+    return [dict(vector) for vector in net.token_index().p_basis]
 
 
 def t_invariants(net: PetriNet) -> list[dict[str, int]]:
@@ -170,14 +206,7 @@ def t_invariants(net: PetriNet) -> list[dict[str, int]]:
     A realisable T-invariant describes a firing sequence that reproduces
     the marking it started from — the cyclic steady state of a loop.
     """
-    matrix = incidence_matrix(net)
-    basis = _rational_nullspace(matrix)
-    transitions = net.transition_names()
-    result = []
-    for vector in basis:
-        ints = _to_integer_vector(vector)
-        result.append({t: w for t, w in zip(transitions, ints) if w})
-    return result
+    return [dict(vector) for vector in net.token_index().t_basis]
 
 
 def positive_p_invariants(net: PetriNet) -> list[dict[str, int]]:

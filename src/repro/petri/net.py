@@ -18,6 +18,7 @@ structural-relation algorithms below work on any net.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from ..errors import DefinitionError
@@ -87,6 +88,11 @@ class TokenIndex:
     places and the unconditional transitions can be enabled:
     :meth:`candidates` lists exactly those, in rank order.  The mappings
     are shared with the callers and must be treated as read-only.
+
+    ``p_basis`` / ``t_basis`` cache the net's invariant bases for the
+    structure's lifetime: the static analyses (properness, lint, the
+    safety checks) all read them, and a structural change retires them
+    with the index.
     """
 
     version: int
@@ -124,6 +130,22 @@ class TokenIndex:
             consumers={p: tuple(ts) for p, ts in consumers.items()},
             unconditional=tuple(t for t in transitions if not presets[t]),
         )
+
+    @cached_property
+    def p_basis(self) -> tuple[tuple[tuple[str, int], ...], ...]:
+        """The P-invariant basis as ``(place, weight)`` pairs per vector
+        (:func:`~repro.petri.invariants.p_invariants` hands out dicts)."""
+        from .invariants import invariant_basis
+
+        return invariant_basis(self, "p")
+
+    @cached_property
+    def t_basis(self) -> tuple[tuple[tuple[str, int], ...], ...]:
+        """The T-invariant basis as ``(transition, count)`` pairs per
+        vector."""
+        from .invariants import invariant_basis
+
+        return invariant_basis(self, "t")
 
     def candidates(self, marking: Marking) -> Sequence[str]:
         """The transitions that may be enabled at ``marking``: consumers

@@ -125,6 +125,42 @@ def _check_environment(data: Any, where: str) -> None:
                     f"integer or {_UNDEF_JSON!r}, got {value!r}")
 
 
+#: the job kinds whose environments feed the spec's own system; an
+#: ``equiv`` job's environment feeds both designs, so it may name the
+#: other design's inputs
+_OWN_ENVIRONMENT_KINDS = ("simulate", "synthesize", "vecbatch")
+
+
+def _input_vertices(system: Any) -> tuple[str, ...] | None:
+    """The input vertices of a system dict, or None when its datapath
+    cannot be read (loading the system reports that when the job runs)."""
+    from ..datapath.operations import OpKind, get_operation
+
+    try:
+        return tuple(sorted(
+            vertex["name"] for vertex in system["datapath"]["vertices"]
+            if any(get_operation(op).kind is OpKind.INPUT
+                   for op in vertex.get("ops", {}).values())))
+    except (TypeError, KeyError, AttributeError, ValueError,
+            DefinitionError):
+        return None
+
+
+def _check_environment_inputs(data: dict, where: str,
+                              inputs: tuple[str, ...] | None) -> None:
+    """Every sequence of an environment must name an input vertex of the
+    system it feeds: a misspelt vertex leaves the real input without
+    values, and the run fails only after the job was accepted."""
+    if inputs is None:
+        return
+    for vertex in data["sequences"]:
+        if vertex not in inputs:
+            raise DefinitionError(
+                f"{where}.sequences names {vertex!r}, which is not an "
+                f"input vertex of the system; its inputs are "
+                f"{', '.join(map(repr, inputs)) or 'none'}")
+
+
 @dataclass(frozen=True, eq=True)
 class JobSpec:
     """One unit of work for the batch engine (JSON-serializable).
@@ -154,8 +190,13 @@ class JobSpec:
         if isinstance(objective, dict) and "max_steps" in objective:
             _check_step_budget(objective["max_steps"],
                                "params.objective.max_steps")
+        inputs = None
         for where, environment in _job_environments(self.params):
             _check_environment(environment, where)
+            if self.kind in _OWN_ENVIRONMENT_KINDS:
+                if inputs is None:
+                    inputs = _input_vertices(self.system)
+                _check_environment_inputs(environment, where, inputs)
 
     @functools.cached_property
     def key(self) -> str:

@@ -210,6 +210,57 @@ class TestEnvironmentValues:
                                  r"must be one of .*, got 'bogus'$"):
             JobSpec.from_dict(entry)
 
+    def test_unknown_input_vertex_rejected(self, zoo):
+        design, system = zoo["gcd"]
+        entry = simulate_job(system, design.environment()).to_dict()
+        sequences = entry["params"]["environment"]["sequences"]
+        sequences["a_inn"] = sequences.pop("a_in")
+        with pytest.raises(DefinitionError) as info:
+            JobSpec.from_dict(entry)
+        assert str(info.value) == (
+            "params.environment.sequences names 'a_inn', which is not an "
+            "input vertex of the system; its inputs are 'a_in', 'b_in'")
+
+    def test_unknown_input_checked_in_every_own_environment(self, zoo):
+        design, system = zoo["gcd"]
+        vec = vecbatch_simulate_job(
+            system, [design.environment(), design.environment()]).to_dict()
+        vec["params"]["environments"][1]["sequences"]["x_in"] = [1]
+        with pytest.raises(DefinitionError,
+                           match=r"^params\.environments\[1\]\.sequences "
+                                 r"names 'x_in'"):
+            JobSpec.from_dict(vec)
+        syn = synthesize_job(system, Objective(
+            environment=design.environment())).to_dict()
+        syn["params"]["objective"]["environment"]["sequences"]["n_in"] = []
+        with pytest.raises(DefinitionError,
+                           match=r"^params\.objective\.environment\."
+                                 r"sequences names 'n_in'"):
+            JobSpec.from_dict(syn)
+        faults = vecbatch_faults_job(system, [], design.environment()).to_dict()
+        faults["params"]["environment"]["sequences"]["b"] = [1]
+        with pytest.raises(DefinitionError,
+                           match=r"^params\.environment\.sequences names 'b'"):
+            JobSpec.from_dict(faults)
+
+    def test_equiv_environment_may_name_either_design(self, zoo):
+        # equiv feeds one stimulus to both designs, so the other design's
+        # inputs are legitimate; the key and the encoding are unchanged
+        _, gcd = zoo["gcd"]
+        _, counter = zoo["counter"]
+        environment = Environment({"a_in": [12], "b_in": [18],
+                                   "limit_in": [3]})
+        spec = equiv_job(gcd, counter, environment)
+        again = JobSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert again.key == spec.key
+        assert set(spec.params["environment"]["sequences"]) == {
+            "a_in", "b_in", "limit_in"}
+
+    def test_subset_of_inputs_accepted(self, zoo):
+        design, system = zoo["gcd"]
+        spec = simulate_job(system, Environment({"a_in": [4]}))
+        assert JobSpec.from_dict(spec.to_dict()).key == spec.key
+
     def test_job_file_names_the_entry(self, tmp_path, zoo):
         design, system = zoo["gcd"]
         entry = simulate_job(system, design.environment()).to_dict()

@@ -238,6 +238,25 @@ class TestBatch:
         else:
             assert "batch of 1 job(s)" in captured.out
 
+    def test_batch_unknown_input_vertex(self, tmp_path, capsys):
+        from repro.runtime import simulate_job, write_job_file
+
+        design = get_design("gcd")
+        jobfile = tmp_path / "jobs.json"
+        write_job_file(str(jobfile), [simulate_job(
+            design.build(), design.environment())])
+        document = json.loads(jobfile.read_text())
+        document["jobs"][0]["params"]["environment"]["sequences"] = {
+            "a_inn": [12], "b_in": [18]}
+        jobfile.write_text(json.dumps(document))
+        assert main(["batch", str(jobfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            "definition error: job file: jobs[0]: params.environment."
+            "sequences names 'a_inn', which is not an input vertex of the "
+            "system; its inputs are 'a_in', 'b_in'"]
+
     def test_batch_results_json(self, tmp_path, capsys):
         from repro.runtime import probe_job, write_job_file
 
